@@ -170,10 +170,11 @@ def tanh(a):
 def gelu(a):
     """Exact (erf-based) GELU; smooth, so finite differences stay honest."""
     a = _as_tensor(a)
-    out = kernels.gelu_forward(a.data)
+    erf1 = np.empty_like(a.data)
+    out = kernels.gelu_forward(a.data, erf1)
 
     def grad_fn(g):
-        return (kernels.gelu_grad(g, a.data),)
+        return (kernels.gelu_grad(g, a.data, erf1),)
 
     return _make(out, (a,), grad_fn)
 
@@ -284,15 +285,15 @@ def mean(a, axis, keepdims=False):
 def softmax(a, axis=-1):
     """Numerically stable softmax along `axis`."""
     a = _as_tensor(a)
-    # max() propagates NaN, so this doubles as the NaN-input check.
-    if np.isnan(a.data.max()):
-        raise NumericError("softmax: NaN in input")
     if axis in (-1, a.data.ndim - 1):
-        out = kernels.softmax_rows(a.data)
+        out = kernels.softmax_rows(a.data.copy())
 
         def grad_fn(g):
-            return (kernels.softmax_rows_grad(g, out),)
+            return (kernels.softmax_rows_grad(g.copy(), out),)
     else:
+        # max() propagates NaN, so this doubles as the NaN-input check.
+        if np.isnan(a.data.max()):
+            raise NumericError("softmax: NaN in input")
         shifted = a.data - a.data.max(axis=axis, keepdims=True)
         ex = np.exp(shifted)
         out = ex / ex.sum(axis=axis, keepdims=True)
@@ -302,6 +303,70 @@ def softmax(a, axis=-1):
             return ((g - dot) * out,)
 
     return _make(out, (a,), grad_fn)
+
+
+def attention(q, k, v, n_heads, bias=None):
+    """Multi-head attention softmax(q_h k_h^T + bias) v_h, heads merged back.
+
+    q: (b, n, d); k, v: (b, m, d); bias: (b, m), added to the logits of
+    every head and query, or None. The 1/sqrt(d / n_heads) scale is the
+    caller's to fold into q. Returns (b, n, d). Only the (b, h, n, m)
+    softmax output is kept for the backward pass.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.data.ndim != 3 or k.data.ndim != 3:
+        raise DimensionError(f"attention: q {q.shape} and k {k.shape} "
+                             "must be (batch, tokens, d)")
+    (b, n, d), m = q.shape, k.shape[1]
+    if k.shape != (b, m, d) or v.shape != k.shape or d % n_heads:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape} and "
+                             f"v {v.shape} with {n_heads} heads")
+    parents = (q, k, v)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (b, m):
+            raise DimensionError(
+                f"attention: bias {bias.shape} is not ({b}, {m})")
+        parents += (bias,)
+    h, dh = n_heads, d // n_heads
+
+    def heads(x, i):
+        """(h, tokens, dh) view of element i of a (b, tokens, d) array."""
+        return x[i].reshape(-1, h, dh).transpose(1, 0, 2)
+
+    def merge(x):
+        """(h, tokens, dh) -> (tokens, d)."""
+        return x.transpose(1, 0, 2).reshape(-1, d)
+
+    # One batch element at a time keeps each (h, n, m) block in cache
+    # from the logits through the softmax to the product with v.
+    probs = np.empty((b, h, n, m))
+    out = np.empty((b, n, d))
+    for i in range(b):
+        p = np.matmul(heads(q.data, i), heads(k.data, i).transpose(0, 2, 1),
+                      out=probs[i])
+        if bias is not None:
+            p += bias.data[i]
+        kernels.softmax_rows(p)
+        out[i] = merge(np.matmul(p, heads(v.data, i)))
+
+    def grad_fn(g):
+        dq = np.empty((b, n, d))
+        dk, dv = np.empty((b, m, d)), np.empty((b, m, d))
+        dbias = np.empty((b, m))
+        for i in range(b):
+            p, go = probs[i], heads(g, i)
+            dv[i] = merge(np.matmul(p.transpose(0, 2, 1), go))
+            dp = np.matmul(go, heads(v.data, i).transpose(0, 2, 1))
+            kernels.softmax_rows_grad(dp, p)
+            if bias is not None:
+                dbias[i] = dp.sum(axis=(0, 1))
+            dq[i] = merge(np.matmul(dp, heads(k.data, i)))
+            dk[i] = np.matmul(heads(q.data, i).transpose(0, 2, 1),
+                              dp).transpose(2, 0, 1).reshape(m, d)
+        return (dq, dk, dv, dbias)[:len(parents)]
+
+    return _make(out, parents, grad_fn)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -358,10 +423,12 @@ def backward(loss):
         g = adjoint.pop(t, None)
         if g is None:
             continue
-        # Accumulation allocates, so the adjoint can be aliased directly;
-        # nothing downstream mutates gradient buffers in place.
-        t.grad = g if t.grad is None else t.grad + g
         if t._grad_fn is None:
+            # Only leaves keep a gradient, so every other adjoint is freed
+            # once its grad_fn has run. Accumulation allocates, so the
+            # adjoint can be aliased directly; nothing downstream mutates
+            # gradient buffers in place.
+            t.grad = g if t.grad is None else t.grad + g
             continue
         grads = t._grad_fn(g)
         for p, gp in zip(t._parents, grads):

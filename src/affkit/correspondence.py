@@ -1,54 +1,8 @@
-"""Static contact transfer by dense per-pixel cosine correspondence.
-
-The pixel scan is the hot non-BLAS loop of the pipeline, so it has a
-numba-jitted kernel with a pure-numpy fallback. Set AFFKIT_NUMBA=0 to
-force the numpy path (see benchmarks/bench_kernels.py).
-"""
-
-import os
+"""Static contact transfer by dense per-pixel cosine correspondence."""
 
 import numpy as np
 
 from .errors import ContractError, NoCorrespondenceError
-
-USE_NUMBA = os.environ.get("AFFKIT_NUMBA", "1") != "0"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _best_match_jit(flat, ref, ref_norm):
-        best = -np.inf
-        best_i = -1
-        for i in range(flat.shape[0]):
-            dot = 0.0
-            sq = 0.0
-            for c in range(flat.shape[1]):
-                v = flat[i, c]
-                dot += v * ref[c]
-                sq += v * v
-            if sq <= 0.0:
-                continue
-            s = dot / (np.sqrt(sq) * ref_norm)
-            if s > best:
-                best = s
-                best_i = i
-        return best_i
-
-
-def _best_match_numpy(flat, ref, ref_norm):
-    norms = np.sqrt((flat * flat).sum(axis=1))
-    sims = np.full(flat.shape[0], -np.inf)
-    ok = norms > 0
-    sims[ok] = flat[ok] @ ref / (norms[ok] * ref_norm)
-    if not np.isfinite(sims).any():
-        return -1
-    return int(np.argmax(sims))  # first max == smallest row-major index
 
 
 def best_match_index(features, ref_feature):
@@ -59,9 +13,13 @@ def best_match_index(features, ref_feature):
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
         raise NoCorrespondenceError("reference contact feature has zero norm")
-    if USE_NUMBA:
-        return int(_best_match_jit(flat, ref, ref_norm))
-    return _best_match_numpy(flat, ref, ref_norm)
+    norms = np.sqrt((flat * flat).sum(axis=1))
+    sims = np.full(flat.shape[0], -np.inf)
+    ok = norms > 0
+    sims[ok] = flat[ok] @ ref / (norms[ok] * ref_norm)
+    if not np.isfinite(sims).any():
+        return -1
+    return int(np.argmax(sims))  # first max == smallest row-major index
 
 
 def reference_contact_feature(ref_map, contact):

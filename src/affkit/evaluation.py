@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ContractError, ConfigError, LeakageError
-from .model import WEIGHTING_RULES, predict_direction
+from .model import WEIGHTING_RULES, detach, predict_direction
 from .retrieval import TaskSynonymTable, cosine_topk, filter_by_task
 
 DEGENERATE_ERROR_DEG = 180.0
@@ -72,6 +72,8 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
     if leaked:
         raise LeakageError(f"test scenes present in memory: {sorted(leaked)[:5]}")
 
+    # Detach once here rather than once per query in predict_direction.
+    params = detach(params)
     records = []
     for scene in sorted(test_scenes, key=lambda s: s.scene_id):
         refs = []

@@ -1,124 +1,63 @@
-"""Fused hot-loop kernels: numba @njit with pure-numpy fallbacks.
+"""In-place numpy kernels for the attention softmax and GELU.
 
 The attention softmax and GELU passes dominate training time once the
-matmuls hit BLAS, so they get fused single-allocation kernels. Set
-AFFKIT_NUMBA=0 to force the numpy fallbacks (used by the benchmark in
-benchmarks/bench_kernels.py and to cross-check equivalence in tests).
+matmuls hit BLAS, so each runs in place or keeps the work its backward
+needs. Every kernel computes the same arithmetic, in the same order, as
+the plain formulas: `exp(x - max) / sum`, `(g - sum(g * y)) * y`,
+`x * 0.5 * (1 + erf(x / sqrt 2))` and `g * (cdf + x * pdf)`.
 """
 
 import math
-import os
 
 import numpy as np
 from scipy.special import erf
 
-USE_NUMBA = os.environ.get("AFFKIT_NUMBA", "1") != "0"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        USE_NUMBA = False
+from .errors import NumericError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# ---------------------------------------------------------------------------
-# numpy fallbacks
+def softmax_rows(x):
+    """Softmax over the last axis, computed in `x`, which is returned.
+
+    Raises NumericError if `x` holds a NaN; the row max, which the shift
+    needs anyway, propagates it.
+    """
+    top = x.max(axis=-1, keepdims=True)
+    if np.isnan(top).any():
+        raise NumericError("softmax: NaN in input")
+    x -= top
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
-def softmax_rows_numpy(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def softmax_rows_grad_numpy(g, y):
+def softmax_rows_grad(g, y):
+    """Adjoint of `softmax_rows` with output `y`, computed in `g`."""
     dot = (g * y).sum(axis=-1, keepdims=True)
-    return (g - dot) * y
+    g -= dot
+    g *= y
+    return g
 
 
-def gelu_numpy(x):
-    return x * 0.5 * (1.0 + erf(x * _INV_SQRT2))
+def gelu_forward(x, erf1):
+    """Exact GELU of `x`; fills `erf1` with 1 + erf(x / sqrt 2)."""
+    np.multiply(x, _INV_SQRT2, out=erf1)
+    erf(erf1, out=erf1)
+    erf1 += 1.0
+    out = x * 0.5
+    out *= erf1
+    return out
 
 
-def gelu_grad_numpy(g, x):
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return g * (cdf + x * pdf)
-
-
-softmax_rows = softmax_rows_numpy
-softmax_rows_grad = softmax_rows_grad_numpy
-gelu_forward = gelu_numpy
-gelu_grad = gelu_grad_numpy
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _softmax2d(x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            m = x[i, 0]
-            for j in range(1, x.shape[1]):
-                if x[i, j] > m:
-                    m = x[i, j]
-            total = 0.0
-            for j in range(x.shape[1]):
-                e = math.exp(x[i, j] - m)
-                out[i, j] = e
-                total += e
-            inv = 1.0 / total
-            for j in range(x.shape[1]):
-                out[i, j] *= inv
-        return out
-
-    @njit(cache=True)
-    def _softmax2d_grad(g, y):
-        dx = np.empty_like(y)
-        for i in range(y.shape[0]):
-            dot = 0.0
-            for j in range(y.shape[1]):
-                dot += g[i, j] * y[i, j]
-            for j in range(y.shape[1]):
-                dx[i, j] = (g[i, j] - dot) * y[i, j]
-        return dx
-
-    @njit(cache=True)
-    def _gelu1d(x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            out[i] = x[i] * 0.5 * (1.0 + math.erf(x[i] * _INV_SQRT2))
-        return out
-
-    @njit(cache=True)
-    def _gelu1d_grad(g, x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            cdf = 0.5 * (1.0 + math.erf(x[i] * _INV_SQRT2))
-            pdf = _INV_SQRT2PI * math.exp(-0.5 * x[i] * x[i])
-            out[i] = g[i] * (cdf + x[i] * pdf)
-        return out
-
-    def softmax_rows(x):
-        flat = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
-        return _softmax2d(flat).reshape(x.shape)
-
-    def softmax_rows_grad(g, y):
-        n = y.shape[-1]
-        out = _softmax2d_grad(np.ascontiguousarray(g).reshape(-1, n),
-                              np.ascontiguousarray(y).reshape(-1, n))
-        return out.reshape(y.shape)
-
-    def gelu_forward(x):
-        return _gelu1d(np.ascontiguousarray(x).reshape(-1)).reshape(x.shape)
-
-    def gelu_grad(g, x):
-        out = _gelu1d_grad(np.ascontiguousarray(g).reshape(-1),
-                           np.ascontiguousarray(x).reshape(-1))
-        return out.reshape(x.shape)
+def gelu_grad(g, x, erf1):
+    """Adjoint of `gelu_forward`, reusing its `erf1` term."""
+    out = x * -0.5
+    out *= x
+    np.exp(out, out=out)
+    out *= _INV_SQRT2PI
+    out *= x
+    out += 0.5 * erf1
+    out *= g
+    return out

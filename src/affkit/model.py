@@ -226,25 +226,13 @@ def dual_weights(sims, gates, eps=1e-8, rule="full"):
 
 
 def _multi_head_attention(q_in, kv_in, cfg, wq, wk, wv, wo, bo, logit_bias=None):
-    """Standard multi-head attention; optional additive per-key logit bias."""
-    b, n_q, d = q_in.shape
-    m = kv_in.shape[-2]
-    h, dh = cfg.n_heads, cfg.d // cfg.n_heads
-
-    def split_heads(x, n):
-        return ad.transpose(ad.reshape(x, (b, n, h, dh)), (0, 2, 1, 3))
-
+    """Standard multi-head attention; optional additive (b, m) per-key bias."""
     # 1/sqrt(dh) is folded into Q so the scale touches (b, n, d) rather
     # than the much larger (b, h, n, m) logit array.
-    q = split_heads(ad.scale(ad.matmul(q_in, wq), 1.0 / np.sqrt(dh)), n_q)
-    k = split_heads(ad.matmul(kv_in, wk), m)
-    v = split_heads(ad.matmul(kv_in, wv), m)
-    logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-    if logit_bias is not None:
-        logits = ad.add(logits, logit_bias)
-    attn = ad.softmax(logits, axis=-1)
-    out = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
-    out = ad.reshape(out, (b, n_q, d))
+    q = ad.scale(ad.matmul(q_in, wq), 1.0 / np.sqrt(cfg.d // cfg.n_heads))
+    k = ad.matmul(kv_in, wk)
+    v = ad.matmul(kv_in, wv)
+    out = ad.attention(q, k, v, cfg.n_heads, bias=logit_bias)
     return ad.add(ad.matmul(out, wo), bo)
 
 
@@ -263,7 +251,7 @@ def gated_cross_attention(params, cfg, f_q, ref_tokens, w_final):
         f_mem = ad.reshape(ref_tokens, (b, k * n, d))
         bias = ad.log(ad.add(w_final, 1e-12))
         bias = ad.mul(ad.reshape(bias, (b, k, 1)), Tensor(np.ones((1, 1, n))))
-        bias = ad.reshape(bias, (b, 1, 1, k * n))
+        bias = ad.reshape(bias, (b, k * n))
         fused = _multi_head_attention(f_q, f_mem, *args, logit_bias=bias)
     else:
         pieces = []
@@ -341,14 +329,24 @@ def forward_direction(params, cfg, query_images, ref_images=None, ref_dirs=None,
     return ad.add(ad.matmul(hidden, params["head.w2"]), params["head.b2"])
 
 
+def detach(params):
+    """The parameters as tape-free Tensors over the same arrays.
+
+    A forward pass over the result records no closures or parent links.
+    """
+    return {name: Tensor(p.data) if p.requires_grad else p
+            for name, p in params.items()}
+
+
 def predict_direction(params, cfg, query_image, refs=(), weighting="full",
                       slots=None):
-    """Single-query prediction.
+    """Single-query prediction, on detached parameters (no tape is built).
 
     refs: sequence of (image, unit direction, similarity). Returns
     (raw (2,), unit (2,) or None); unit is None when the raw norm is
     degenerate (< 1e-12), which evaluation scores as a 180-degree error.
     """
+    params = detach(params)
     query = np.asarray(query_image, dtype=np.float64)[None]
     if refs:
         images = np.stack([np.asarray(r[0], dtype=np.float64) for r in refs])[None]

@@ -203,6 +203,8 @@ def train(params, model_cfg, train_cfg, episodes, train_scenes, memory,
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
+            # Free this step's tape before the next forward builds one.
+            del pred, loss
             total += value * len(batch)
             count += len(batch)
         epoch_loss = total / count

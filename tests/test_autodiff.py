@@ -262,6 +262,14 @@ def test_backward_accumulates_shared_subexpression():
     np.testing.assert_allclose(x.grad, [4.0])
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    x = _param([2.0, -1.0])
+    y = ad.mul(x, x)
+    ad.backward(ad.sum_(y))
+    np.testing.assert_array_equal(x.grad, [4.0, -2.0])
+    assert y.grad is None
+
+
 def test_backward_bitwise_deterministic():
     rng = np.random.default_rng(10)
     params = {"w": _param(rng.normal(size=(4, 4))),
@@ -324,18 +332,81 @@ def test_finite_diff_nonfinite_loss_raises():
 
 
 # ---------------------------------------------------------------------------
-# fused kernels agree with the numpy fallbacks
+# in-place kernels agree bitwise with the plain formulas
 
 
-def test_kernels_match_numpy_fallbacks():
+def test_kernels_match_plain_formulas():
+    from scipy.special import erf
     rng = np.random.default_rng(12)
     x = rng.normal(size=(3, 5, 7))
     g = rng.normal(size=(3, 5, 7))
-    y = kernels.softmax_rows(x)
-    np.testing.assert_allclose(y, kernels.softmax_rows_numpy(x), atol=1e-14)
-    np.testing.assert_allclose(kernels.softmax_rows_grad(g, y),
-                               kernels.softmax_rows_grad_numpy(g, y), atol=1e-14)
-    np.testing.assert_allclose(kernels.gelu_forward(x),
-                               kernels.gelu_numpy(x), atol=1e-14)
-    np.testing.assert_allclose(kernels.gelu_grad(g, x),
-                               kernels.gelu_grad_numpy(g, x), atol=1e-14)
+    ex = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = ex / ex.sum(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(kernels.softmax_rows(x.copy()), y)
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(kernels.softmax_rows_grad(g.copy(), y),
+                                  (g - dot) * y)
+    erf1 = np.empty_like(x)
+    np.testing.assert_array_equal(
+        kernels.gelu_forward(x, erf1),
+        x * 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+    np.testing.assert_array_equal(kernels.gelu_grad(g, x, erf1),
+                                  g * (cdf + x * pdf))
+
+
+def test_softmax_kernel_works_in_place():
+    x = np.array([[1.0, 2.0], [0.0, 0.0]])
+    assert kernels.softmax_rows(x) is x
+    np.testing.assert_allclose(x[1], [0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# fused attention
+
+
+def _attention_params(rng, b=2, n=3, m=5, d=4):
+    return {"q": _param(rng.normal(size=(b, n, d))),
+            "k": _param(rng.normal(size=(b, m, d))),
+            "v": _param(rng.normal(size=(b, m, d))),
+            "bias": _param(rng.normal(size=(b, m)))}
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_attention_gradcheck(with_bias):
+    rng = np.random.default_rng(13)
+    params = _attention_params(rng)
+    if not with_bias:
+        del params["bias"]
+    probe = Tensor(rng.normal(size=(2, 3, 4)))
+
+    def fn():
+        out = ad.attention(params["q"], params["k"], params["v"], 2,
+                           bias=params.get("bias"))
+        return ad.sum_(ad.mul(out, probe))
+
+    assert ad.finite_diff_check(fn, params, samples_per_param=8) < 1e-6
+
+
+def test_attention_nan_logit_raises():
+    rng = np.random.default_rng(15)
+    params = _attention_params(rng)
+    q = params["q"].data.copy()
+    q[1, 2, 0] = np.nan
+    with pytest.raises(NumericError):
+        ad.attention(Tensor(q), params["k"], params["v"], 2)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((2, 3, 4), (2, 5, 4), (2, 4, 4), None),   # k and v token counts
+    ((2, 3, 4), (2, 5, 6), (2, 5, 6), None),   # q and k widths
+    ((2, 3, 4), (1, 5, 4), (1, 5, 4), None),   # batch sizes
+    ((2, 3, 4), (2, 5, 4), (2, 5, 4), (2, 3)),  # bias length
+    ((3, 4), (2, 5, 4), (2, 5, 4), None),      # q rank
+    ((2, 3, 3), (2, 5, 3), (2, 5, 3), None),   # width not split by 2 heads
+])
+def test_attention_shape_mismatch_raises(shapes):
+    q, k, v, bias = (s and Tensor(np.zeros(s)) for s in shapes)
+    with pytest.raises(DimensionError):
+        ad.attention(q, k, v, 2, bias=bias)

@@ -98,7 +98,7 @@ def test_oracle_model_scores_zero(small_split, monkeypatch):
         raise AssertionError("unknown query image")
 
     monkeypatch.setattr(evaluation, "predict_direction", echo)
-    report = evaluate(None, TINY, test_scenes, memory, k=2)
+    report = evaluate({}, TINY, test_scenes, memory, k=2)
     assert report.overall == pytest.approx(0.0, abs=1e-9)
     assert calls["n"] == len(test_scenes)
     assert set(report.per_task) == {"open", "close"}
@@ -116,7 +116,7 @@ def test_fixed_prediction_uniform_angles_near_90(monkeypatch, small_split):
     fixed = np.array([1.0, 0.0])
     monkeypatch.setattr(evaluation, "predict_direction",
                         lambda *a, **k: (fixed, fixed))
-    report = evaluate(None, TINY, scenes, memory, k=0)
+    report = evaluate({}, TINY, scenes, memory, k=0)
     assert abs(report.overall - 90.0) < 5.0
 
 
@@ -143,7 +143,7 @@ def test_degenerate_scored_180(small_split, monkeypatch):
     _, test_scenes, memory = small_split
     monkeypatch.setattr(evaluation, "predict_direction",
                         lambda *a, **k: (np.zeros(2), None))
-    report = evaluate(None, TINY, test_scenes, memory, k=0)
+    report = evaluate({}, TINY, test_scenes, memory, k=0)
     assert report.overall == 180.0
     assert all(r.degenerate for r in report.records)
 

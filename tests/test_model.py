@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import affkit.autodiff as ad
+import affkit.model as model
 from affkit.autodiff import Tensor
 from affkit.errors import ConfigError, ContractError, NumericError
 from affkit.model import (ModelConfig, add_ref_id, direction_loss,
@@ -364,8 +365,79 @@ def test_output_mix_mode_runs():
     assert raw.shape == (2,) and abs(np.linalg.norm(unit) - 1.0) < 1e-12
 
 
+def _composed_attention(q_in, kv_in, cfg, wq, wk, wv, wo, bo, logit_bias=None):
+    """Multi-head attention built from separate reshape, transpose, matmul
+    and softmax tape ops."""
+    b, n_q, d = q_in.shape
+    m = kv_in.shape[-2]
+    h, dh = cfg.n_heads, cfg.d // cfg.n_heads
+
+    def split_heads(x, n):
+        return ad.transpose(ad.reshape(x, (b, n, h, dh)), (0, 2, 1, 3))
+
+    q = split_heads(ad.scale(ad.matmul(q_in, wq), 1.0 / np.sqrt(dh)), n_q)
+    k = split_heads(ad.matmul(kv_in, wk), m)
+    v = split_heads(ad.matmul(kv_in, wv), m)
+    logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+    if logit_bias is not None:
+        logits = ad.add(logits, ad.reshape(logit_bias, (b, 1, 1, m)))
+    attn = ad.softmax(logits, axis=-1)
+    out = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
+    out = ad.reshape(out, (b, n_q, d))
+    return ad.add(ad.matmul(out, wo), bo)
+
+
+@pytest.mark.parametrize("attn_mode", ["logit_bias", "output_mix"])
+def test_fused_attention_bitwise_equals_composed_ops(attn_mode, monkeypatch):
+    cfg = ModelConfig(d=8, patch_size=4, image_h=8, image_w=12, channels=4,
+                      n_layers=2, n_heads=2, d_ff=16, film_hidden=8,
+                      gate_hidden=8, attn_mode=attn_mode)
+    rng = np.random.default_rng(20)
+    query = rng.normal(size=(3, cfg.image_h, cfg.image_w, cfg.channels))
+    images = rng.normal(size=(3, 2, cfg.image_h, cfg.image_w, cfg.channels))
+    dirs = rng.normal(size=(3, 2, 2))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    sims = rng.uniform(-1, 1, size=(3, 2))
+    targets = rng.normal(size=(3, 2))
+
+    def run():
+        params = init_model(cfg, seed=4)
+        pred = forward_direction(params, cfg, query, images, dirs, sims)
+        ad.backward(direction_loss(pred, targets))
+        return pred.data, {n: p.grad for n, p in params.items()}
+
+    fused, fused_grads = run()
+    monkeypatch.setattr(model, "_multi_head_attention", _composed_attention)
+    composed, composed_grads = run()
+    np.testing.assert_array_equal(fused, composed)
+    for name, grad in composed_grads.items():
+        np.testing.assert_array_equal(fused_grads[name], grad, err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # predict_direction
+
+
+def test_predict_matches_forward_and_builds_no_tape(tiny, monkeypatch):
+    params, cfg = tiny
+    rng = np.random.default_rng(21)
+    img = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
+    refs = _refs(rng, cfg, 3)
+    expected = forward_direction(
+        params, cfg, img[None], np.stack([r[0] for r in refs])[None],
+        np.asarray([r[1] for r in refs])[None],
+        np.asarray([r[2] for r in refs])[None]).data[0]
+    outputs = []
+
+    def recording(*args, **kwargs):
+        outputs.append(forward_direction(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(model, "forward_direction", recording)
+    raw, _ = predict_direction(params, cfg, img, refs)
+    np.testing.assert_array_equal(raw, expected)
+    assert not outputs[0].requires_grad and outputs[0]._grad_fn is None
+    assert all(p.grad is None for p in params.values())
 
 
 def test_predict_shape_and_unit_norm(tiny):
