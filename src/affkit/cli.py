@@ -8,17 +8,16 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import click
 import numpy as np
 import yaml
 
-from .errors import (AffkitError, ConfigError, ContractError,
-                     EmptyMemoryError, GeometryError, LeakageError,
+from .errors import (AffkitError, ConfigError, GeometryError, LeakageError,
                      NoCorrespondenceError, NumericError, ParseError,
-                     SchemaError, TrainingAbort)
-from . import evaluation, synthgen, training
+                     TrainingAbort)
+from . import evaluation, store, synthgen, training
 from .correspondence import transfer_contact
 from .lifting import lift_affordance
 from .memory import load_memory, save_memory
@@ -29,12 +28,11 @@ from .training import TrainConfig, build_episodes, save_history, train
 
 EXIT_CONFIG, EXIT_NUMERIC, EXIT_LEAKAGE, EXIT_GEOMETRY = 2, 3, 4, 5
 
+# Every other AffkitError, and an OSError, is a config or input error.
 _EXIT_CODES = (
     ((LeakageError,), EXIT_LEAKAGE),
     ((GeometryError, NoCorrespondenceError), EXIT_GEOMETRY),
     ((NumericError, TrainingAbort), EXIT_NUMERIC),
-    ((ConfigError, ContractError, ParseError, SchemaError, EmptyMemoryError,
-      FileNotFoundError, OSError), EXIT_CONFIG),
 )
 
 
@@ -44,11 +42,9 @@ def _run(fn):
         try:
             fn(*args, **kwargs)
         except (AffkitError, OSError) as exc:
-            for types, code in _EXIT_CODES:
-                if isinstance(exc, types):
-                    click.echo(f"error: {exc}", err=True)
-                    sys.exit(code)
-            raise
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next((code for types, code in _EXIT_CODES
+                           if isinstance(exc, types)), EXIT_CONFIG))
     return wrapper
 
 
@@ -100,46 +96,53 @@ def gen(variant, tasks, seed, out, n_train, n_test, noise, size):
 # run configuration
 
 
-def _dataclass_from(cls, mapping, what):
-    known = {f.name for f in fields(cls)}
-    unknown = set(mapping) - known
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**mapping)
+def _synonyms_option(text):
+    try:
+        return TaskSynonymTable(groups=json.loads(text) if text else [])
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--synonyms is not JSON: {exc}")
 
 
 def load_run_config(path, overrides=None):
     """Parse and validate a YAML run configuration. Unknown keys rejected."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config is not YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     allowed = {"data", "model", "train", "synonyms"}
     unknown = set(raw) - allowed
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "data" not in raw:
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
+    if not isinstance(raw.get("data"), str):
         raise ConfigError("config is missing the 'data' directory")
+    for key in ("train", "model"):
+        if not isinstance(raw.get(key) or {}, dict):
+            raise ConfigError(f"config section {key!r} must be a mapping")
     train_kwargs = dict(raw.get("train") or {})
     for key, value in (overrides or {}).items():
         if value is not None:
             train_kwargs[key] = value
     model_cfg_kwargs = dict(raw.get("model") or {})
     synonyms = TaskSynonymTable(groups=raw.get("synonyms") or [])
-    train_cfg = _dataclass_from(TrainConfig, train_kwargs, "train")
+    train_cfg = store.from_dict(TrainConfig, train_kwargs, "train", ConfigError)
     return raw["data"], model_cfg_kwargs, train_cfg, synonyms
 
 
 def _load_dataset(data_dir):
     manifest_path = os.path.join(data_dir, "manifest.json")
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    train_scenes, _ = synthgen.load_scenes(
-        os.path.join(data_dir, manifest["train"]))
-    test_scenes, _ = synthgen.load_scenes(
-        os.path.join(data_dir, manifest["test"]))
-    memory = load_memory(os.path.join(data_dir, manifest["memory"]))
-    return manifest, train_scenes, test_scenes, memory
+        try:
+            manifest = json.load(fh)
+            train, test, mem = (os.path.join(data_dir, manifest[key])
+                                for key in ("train", "test", "memory"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{manifest_path}: bad manifest: {exc!r}")
+    train_scenes, _ = synthgen.load_scenes(train)
+    test_scenes, _ = synthgen.load_scenes(test)
+    return manifest, train_scenes, test_scenes, load_memory(mem)
 
 
 def _model_config(kwargs, scenes):
@@ -147,7 +150,7 @@ def _model_config(kwargs, scenes):
     kwargs.setdefault("image_h", h)
     kwargs.setdefault("image_w", w)
     kwargs.setdefault("channels", c)
-    return _dataclass_from(ModelConfig, kwargs, "model")
+    return store.from_dict(ModelConfig, kwargs, "model", ConfigError)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,10 @@ def train_cmd(config_path, out_checkpoint, out_history, seed, k, lr,
 
 def _parse_k_sweep(spec):
     lo, _, hi = spec.replace("..", ":").partition(":")
-    return list(range(int(lo), int(hi) + 1))
+    try:
+        return list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise ConfigError(f"--k-sweep {spec!r} is not a range like 0..4")
 
 
 @main.command(name="eval")
@@ -201,7 +207,7 @@ def _parse_k_sweep(spec):
 @click.option("--checkpoint", "checkpoints", multiple=True, required=True,
               help="Repeat for multi-seed aggregation (or one per K with "
                    "--k-sweep).")
-@click.option("--k", default=3, show_default=True, type=int)
+@click.option("--k", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option("--variant-rule", default="full", show_default=True,
               type=click.Choice(evaluation.WEIGHTING_RULES))
 @click.option("--seeds", default=None,
@@ -217,8 +223,7 @@ def eval_cmd(data_dir, checkpoints, k, variant_rule, seeds, k_sweep_spec,
              synonyms_json, out):
     """Evaluate checkpoints; emits per-seed EvalReports plus an aggregate."""
     _, _, test_scenes, memory = _load_dataset(data_dir)
-    synonyms = TaskSynonymTable(
-        groups=json.loads(synonyms_json) if synonyms_json else [])
+    synonyms = _synonyms_option(synonyms_json)
 
     if k_sweep_spec:
         ks = _parse_k_sweep(k_sweep_spec)
@@ -273,7 +278,7 @@ def eval_cmd(data_dir, checkpoints, k, variant_rule, seeds, k_sweep_spec,
 @click.option("--index", default=0, show_default=True, type=int,
               help="Scene index within the store.")
 @click.option("--memory", "memory_path", required=True, type=click.Path())
-@click.option("--k", default=3, show_default=True, type=int)
+@click.option("--k", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option("--variant-rule", default="full", show_default=True,
               type=click.Choice(evaluation.WEIGHTING_RULES))
 @click.option("--lift", "do_lift", is_flag=True)
@@ -288,8 +293,7 @@ def predict(checkpoint, scene_path, index, memory_path, k, variant_rule,
         raise ConfigError(f"scene index {index} outside [0, {len(scenes)})")
     scene = scenes[index]
     memory = load_memory(memory_path)
-    synonyms = TaskSynonymTable(
-        groups=json.loads(synonyms_json) if synonyms_json else [])
+    synonyms = _synonyms_option(synonyms_json)
 
     subset = filter_by_task(memory, scene.task, synonyms)
     top = cosine_topk(scene.embedding, memory, subset, k=max(k, 1),

@@ -62,10 +62,13 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
              weighting="full", metadata=None):
     """Per-query retrieval + direction prediction + MAE.
 
-    Raises LeakageError if any test scene id appears in the memory.
-    Degenerate (near-zero raw) predictions score 180 degrees.
+    Raises LeakageError if any test scene id appears in the memory, and
+    ContractError if k < 0. Degenerate (near-zero raw) predictions score
+    180 degrees.
     """
     ablation(weighting)
+    if k < 0:
+        raise ContractError(f"k must be >= 0, got {k}")
     synonyms = synonyms or TaskSynonymTable()
     memory_ids = {e.source_id for e in memory.entries if e.source_id}
     leaked = memory_ids & {s.scene_id for s in test_scenes}

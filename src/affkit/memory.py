@@ -1,23 +1,20 @@
 """Affordance memory: trajectory reduction, construction, persistence.
 
-The store format is line-delimited JSON: one header line, then one entry
-per line. Image payloads are base64-encoded little-endian float64 so that
-round trips are bitwise lossless; all other floats rely on JSON's repr
-round-tripping.
+A memory store (see `store`) has a header with `d_emb`, `count` and
+`image_encoding`, then one entry per line.
 """
 
-import base64
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import store
 from .errors import ContractError, EmptyMemoryError, ParseError, SchemaError
 
 FORMAT_NAME = "affkit-memory"
-FORMAT_VERSION = 1
+IMAGE_ENCODING = "base64/float64-le"
 DEGENERATE_EPS = 1e-6
 
 _WS = re.compile(r"\s+")
@@ -146,77 +143,38 @@ def build_memory(samples, reduction_mode="pca"):
     return Memory(entries=entries, d_emb=d_emb)
 
 
-def _encode_image(img):
-    img = np.ascontiguousarray(img, dtype="<f8")
-    return base64.b64encode(img.tobytes()).decode("ascii")
-
-
-def _decode_image(payload, h, w, c, line):
+def affordance_from(rec):
+    """The Affordance2D in a store record's `contact` and `direction`."""
     try:
-        raw = base64.b64decode(payload.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise ParseError(f"bad image payload: {exc}", line=line)
-    if len(raw) != h * w * c * 8:
-        raise ParseError(f"image payload has {len(raw)} bytes, "
-                         f"expected {h * w * c * 8}", line=line)
-    return np.frombuffer(raw, dtype="<f8").reshape(h, w, c).copy()
+        return Affordance2D(contact=tuple(rec.floats("contact", 2).tolist()),
+                            direction=tuple(rec.floats("direction", 2).tolist()))
+    except ContractError as exc:
+        raise ParseError(str(exc), line=rec.line)
 
 
 def save_memory(memory, path):
     """Write the memory store; an empty memory is just the header."""
-    with open(path, "w") as fh:
-        header = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-                  "d_emb": memory.d_emb, "count": len(memory),
-                  "image_encoding": "base64/float64-le"}
-        fh.write(json.dumps(header) + "\n")
-        for e in memory.entries:
-            h, w, c = e.image.shape
-            rec = {"task": e.task, "h": h, "w": w, "c": c,
-                   "image": _encode_image(e.image),
-                   "embedding": e.embedding.tolist(),
-                   "contact": list(map(float, e.affordance.contact)),
-                   "direction": list(map(float, e.affordance.direction)),
-                   "source_id": e.source_id}
-            fh.write(json.dumps(rec) + "\n")
+    store.save(path, FORMAT_NAME, {
+        "d_emb": memory.d_emb, "count": len(memory),
+        "image_encoding": IMAGE_ENCODING}, ({
+            "task": e.task, "h": e.image.shape[0], "w": e.image.shape[1],
+            "c": e.image.shape[2], "image": store.encode(e.image),
+            "embedding": e.embedding.tolist(),
+            "contact": list(map(float, e.affordance.contact)),
+            "direction": list(map(float, e.affordance.direction)),
+            "source_id": e.source_id} for e in memory.entries))
 
 
 def load_memory(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad header: {exc}", line=1)
-    if header.get("format") != FORMAT_NAME:
-        raise ParseError(f"not a {FORMAT_NAME} store", line=1)
-    if header.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported version {header.get('version')}", line=1)
-    count = header.get("count")
-    d_emb = header.get("d_emb", 0)
-    body = lines[1:]
-    if count is None or len(body) != count:
-        raise ParseError(f"expected {count} entries, found {len(body)}", line=1)
-
-    entries = []
-    for n, line in enumerate(body, start=2):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), line=n)
-        try:
-            image = _decode_image(rec["image"], rec["h"], rec["w"], rec["c"], n)
-            embedding = np.asarray(rec["embedding"], dtype=np.float64)
-            aff = Affordance2D(contact=tuple(rec["contact"]),
-                               direction=tuple(rec["direction"]))
-            entry = MemoryEntry(image=image, embedding=embedding,
-                                task=rec["task"], affordance=aff,
-                                source_id=rec.get("source_id"))
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", line=n)
-        if embedding.shape[0] != d_emb:
-            raise SchemaError(
-                f"line {n}: embedding dim {embedding.shape[0]} != header {d_emb}")
-        entries.append(entry)
-    return Memory(entries=entries, d_emb=d_emb)
+    records = store.load(path, FORMAT_NAME)
+    header = next(records)
+    header.get("count", int)  # store.load matches it against the records
+    if header.get("image_encoding", str) != IMAGE_ENCODING:
+        raise ParseError("unsupported image encoding", line=1)
+    d_emb = header.get("d_emb", int)
+    return Memory(d_emb=d_emb, entries=[MemoryEntry(
+        image=rec.array("image", (rec.get("h", int), rec.get("w", int),
+                                  rec.get("c", int))),
+        embedding=rec.floats("embedding", d_emb), task=rec.get("task", str),
+        affordance=affordance_from(rec),
+        source_id=rec.get("source_id", (str, type(None)))) for rec in records])

@@ -8,16 +8,15 @@ dual (similarity x learned-gate) scheme; a pre-norm transformer encoder
 with a CLS token regresses the raw 2D direction.
 """
 
-import base64
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from . import store
 from .autodiff import Tensor
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
-                     ConfigError)
+                     SchemaError, ConfigError)
 
 CHECKPOINT_FORMAT = "affkit-checkpoint"
 WEIGHTING_RULES = ("full", "no_gating", "no_similarity", "uniform")
@@ -41,12 +40,14 @@ class ModelConfig:
     attn_mode: str = "logit_bias"  # or "output_mix"
 
     def __post_init__(self):
+        sizes = {f.name: getattr(self, f.name) for f in fields(self)
+                 if f.type is int}
+        if min(sizes.values()) < 1:
+            raise ConfigError(f"sizes must be >= 1, got {sizes}")
         if self.d % self.n_heads != 0:
             raise ConfigError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
-        if self.n_layers < 1:
-            raise ConfigError("n_layers must be >= 1")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ConfigError(
                 f"image {self.image_h}x{self.image_w} not divisible by "
@@ -373,35 +374,25 @@ def direction_loss(pred, targets):
 
 
 def save_checkpoint(params, cfg, path):
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"format": CHECKPOINT_FORMAT, "version": 1,
-                             "config": asdict(cfg)}) + "\n")
-        for name in sorted(params):
-            data = np.ascontiguousarray(params[name].data, dtype="<f8")
-            fh.write(json.dumps({
-                "name": name, "shape": list(data.shape),
-                "data": base64.b64encode(data.tobytes()).decode("ascii")}) + "\n")
+    store.save(path, CHECKPOINT_FORMAT, {"config": asdict(cfg)}, (
+        {"name": name, "shape": list(params[name].shape),
+         "data": store.encode(params[name].data)} for name in sorted(params)))
 
 
 def load_checkpoint(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty checkpoint", line=1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad header: {exc}", line=1)
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise ParseError("not an affkit checkpoint", line=1)
-    cfg = ModelConfig(**header["config"])
-    params = {}
-    for n, line in enumerate(lines[1:], start=2):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), line=n)
-        raw = base64.b64decode(rec["data"])
-        data = np.frombuffer(raw, dtype="<f8").reshape(rec["shape"]).copy()
-        params[rec["name"]] = Tensor(data, requires_grad=True)
+    """(params, cfg) from a checkpoint that holds each parameter of
+    `init_model(cfg)` once, at its shape."""
+    records = store.load(path, CHECKPOINT_FORMAT)
+    cfg = next(records).dataclass("config", ModelConfig)
+    params, loaded = init_model(cfg), set()
+    for rec in records:
+        name = rec.get("name", str)
+        if (name in loaded or name not in params
+                or rec.get("shape", list) != list(params[name].shape)):
+            raise ParseError(f"unexpected or repeated parameter {name!r}",
+                             line=rec.line)
+        params[name].data = rec.array("data", params[name].shape)
+        loaded.add(name)
+    if loaded != set(params):
+        raise SchemaError(f"checkpoint lacks {sorted(set(params) - loaded)}")
     return params, cfg

@@ -18,7 +18,12 @@ class TaskSynonymTable:
     groups: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.groups = [frozenset(normalize_task(t) for t in g) for g in self.groups]
+        try:
+            self.groups = [frozenset(normalize_task(t) for t in g)
+                           for g in self.groups]
+        except (TypeError, AttributeError):  # not iterables of str
+            raise ContractError(f"synonym groups must be lists of task "
+                                f"labels, got {self.groups!r}")
         seen = set()
         for g in self.groups:
             if seen & g:

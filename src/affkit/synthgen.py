@@ -9,15 +9,14 @@ motion orientation from the object pose, so direction information is
 recoverable only through retrieved references.
 """
 
-import base64
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from . import store
+from .errors import ConfigError
 from .lifting import Intrinsics
-from .memory import Affordance2D, build_memory
+from .memory import Affordance2D, affordance_from, build_memory
 
 TASKS = ("open", "close", "pickup")
 HANDLE_VALUE = 3.0
@@ -191,66 +190,35 @@ def generate_split(n_train, n_test, tasks, seed, variant, size=48):
 # scene store
 
 
-def _b64(arr):
-    return base64.b64encode(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _unb64(payload, shape, line):
-    raw = base64.b64decode(payload)
-    expected = int(np.prod(shape)) * 8
-    if len(raw) != expected:
-        raise ParseError(f"payload has {len(raw)} bytes, expected {expected}",
-                         line=line)
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
 def save_scenes(scenes, variant, path):
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"format": SCENE_FORMAT, "version": 1,
-                             "count": len(scenes),
-                             "variant": asdict(variant)}) + "\n")
-        for s in scenes:
-            h, w, c = s.image.shape
-            fh.write(json.dumps({
-                "scene_id": s.scene_id, "task": s.task, "h": h, "w": w, "c": c,
-                "image": _b64(s.image), "memory_image": _b64(s.memory_image),
-                "depth": _b64(s.depth),
-                "intrinsics": asdict(s.intrinsics),
-                "contact": list(map(float, s.contact)),
-                "direction": list(map(float, s.direction)),
-                "embedding": s.embedding.tolist()}) + "\n")
+    store.save(path, SCENE_FORMAT, {
+        "count": len(scenes), "variant": asdict(variant)}, ({
+            "scene_id": s.scene_id, "task": s.task, "h": s.image.shape[0],
+            "w": s.image.shape[1], "c": s.image.shape[2],
+            "image": store.encode(s.image),
+            "memory_image": store.encode(s.memory_image),
+            "depth": store.encode(s.depth), "intrinsics": asdict(s.intrinsics),
+            "contact": list(map(float, s.contact)),
+            "direction": list(map(float, s.direction)),
+            "embedding": s.embedding.tolist()} for s in scenes))
+
+
+def _scene(rec):
+    shape = (rec.get("h", int), rec.get("w", int), rec.get("c", int))
+    aff = affordance_from(rec)
+    return Scene(
+        scene_id=rec.get("scene_id", str), task=rec.get("task", str),
+        image=rec.array("image", shape),
+        memory_image=rec.array("memory_image", shape),
+        depth=rec.array("depth", shape[:2]),
+        intrinsics=rec.dataclass("intrinsics", Intrinsics),
+        contact=aff.contact, direction=aff.direction,
+        embedding=rec.floats("embedding", shape[2] + N_ORIENT_BINS))
 
 
 def load_scenes(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad header: {exc}", line=1)
-    if header.get("format") != SCENE_FORMAT:
-        raise ParseError(f"not an {SCENE_FORMAT} store", line=1)
-    variant = BenchmarkVariant(**header["variant"])
-    scenes = []
-    for n, line in enumerate(lines[1:], start=2):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), line=n)
-        shape = (rec["h"], rec["w"], rec["c"])
-        scenes.append(Scene(
-            scene_id=rec["scene_id"], task=rec["task"],
-            image=_unb64(rec["image"], shape, n),
-            memory_image=_unb64(rec["memory_image"], shape, n),
-            depth=_unb64(rec["depth"], shape[:2], n),
-            intrinsics=Intrinsics(**rec["intrinsics"]),
-            contact=tuple(rec["contact"]),
-            direction=tuple(rec["direction"]),
-            embedding=np.asarray(rec["embedding"])))
-    if len(scenes) != header.get("count"):
-        raise ParseError(f"expected {header.get('count')} scenes, "
-                         f"found {len(scenes)}", line=1)
-    return scenes, variant
+    records = store.load(path, SCENE_FORMAT)
+    header = next(records)
+    header.get("count", int)  # store.load matches it against the records
+    variant = header.dataclass("variant", BenchmarkVariant)
+    return [_scene(rec) for rec in records], variant

@@ -129,6 +129,28 @@ def test_train_unknown_top_level_key_exits_2(tmp_path, data_dir):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("section", [
+    {"train": [1, 2]}, {"model": [1, 2]}, {"train": {"lr": "1e-3"}},
+    {"model": {"d": "64"}}, {"synonyms": 3}])
+def test_train_malformed_config_section_exits_2(tmp_path, data_dir, section):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"data": str(data_dir), **section}))
+    result = RUNNER.invoke(main, ["train", "--config", str(cfg),
+                                  "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    assert result.exit_code == 2, result.output
+    assert "error: " in result.output
+
+
+def test_train_config_not_yaml_exits_2(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("data: [\n")
+    result = RUNNER.invoke(main, ["train", "--config", str(cfg),
+                                  "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    assert result.exit_code == 2, result.output
+
+
 def test_train_flag_overrides_win(tmp_path, data_dir):
     cfg = _write_config(tmp_path / "run.yaml", data_dir, max_epochs=50)
     ck = tmp_path / "m.ckpt"
@@ -193,6 +215,28 @@ def test_eval_k_sweep_checkpoint_count_mismatch(data_dir, checkpoint):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--synonyms", "notjson"], ["--synonyms", "[[1]]"], ["--k-sweep", "abc"],
+    ["--k", "-1"]])
+def test_eval_malformed_option_exits_2(data_dir, checkpoint, args):
+    result = RUNNER.invoke(main, ["eval", "--data", str(data_dir),
+                                  "--checkpoint", str(checkpoint)] + args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("manifest", ["{", '{"train": "train.jsonl"}', "[]"])
+def test_eval_malformed_manifest_exits_2(tmp_path, data_dir, checkpoint,
+                                         manifest):
+    for name in ("train.jsonl", "test.jsonl", "memory.jsonl"):
+        (tmp_path / name).write_bytes((data_dir / name).read_bytes())
+    (tmp_path / "manifest.json").write_text(manifest)
+    result = RUNNER.invoke(main, ["eval", "--data", str(tmp_path),
+                                  "--checkpoint", str(checkpoint)])
+    assert result.exit_code == 2, result.output
+    assert "bad manifest" in result.output
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -242,3 +286,13 @@ def test_predict_index_out_of_range(data_dir, checkpoint):
                                   "--index", "99",
                                   "--memory", str(data_dir / "memory.jsonl")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [["--k", "-2"], ["--synonyms", "{"]])
+def test_predict_malformed_option_exits_2(data_dir, checkpoint, args):
+    result = RUNNER.invoke(main, ["predict", "--checkpoint", str(checkpoint),
+                                  "--scene", str(data_dir / "test.jsonl"),
+                                  "--memory", str(data_dir / "memory.jsonl")]
+                           + args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)

@@ -139,6 +139,12 @@ def test_leakage_detected(small_split):
         evaluate(params, TINY, train_scenes[:2], memory, k=1)
 
 
+def test_negative_k_rejected(small_split):
+    _, test_scenes, memory = small_split
+    with pytest.raises(ContractError):
+        evaluate(init_model(TINY, seed=0), TINY, test_scenes, memory, k=-1)
+
+
 def test_degenerate_scored_180(small_split, monkeypatch):
     _, test_scenes, memory = small_split
     monkeypatch.setattr(evaluation, "predict_direction",
