@@ -38,18 +38,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -153,16 +141,6 @@ def sigmoid(a):
 
     def grad_fn(g):
         return (g * out * (1.0 - out),)
-
-    return _make(out, (a,), grad_fn)
-
-
-def tanh(a):
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-
-    def grad_fn(g):
-        return (g * (1.0 - out * out),)
 
     return _make(out, (a,), grad_fn)
 
@@ -282,25 +260,13 @@ def mean(a, axis, keepdims=False):
     return _make(out, (a,), grad_fn)
 
 
-def softmax(a, axis=-1):
-    """Numerically stable softmax along `axis`."""
+def softmax(a):
+    """Numerically stable softmax along the last axis."""
     a = _as_tensor(a)
-    if axis in (-1, a.data.ndim - 1):
-        out = kernels.softmax_rows(a.data.copy())
+    out = kernels.softmax_rows(a.data.copy())
 
-        def grad_fn(g):
-            return (kernels.softmax_rows_grad(g.copy(), out),)
-    else:
-        # max() propagates NaN, so this doubles as the NaN-input check.
-        if np.isnan(a.data.max()):
-            raise NumericError("softmax: NaN in input")
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        ex = np.exp(shifted)
-        out = ex / ex.sum(axis=axis, keepdims=True)
-
-        def grad_fn(g):
-            dot = (g * out).sum(axis=axis, keepdims=True)
-            return ((g - dot) * out,)
+    def grad_fn(g):
+        return (kernels.softmax_rows_grad(g.copy(), out),)
 
     return _make(out, (a,), grad_fn)
 

@@ -5,8 +5,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ContractError, ConfigError, LeakageError
-from .model import WEIGHTING_RULES, detach, predict_direction
+from .errors import ContractError, LeakageError
+from .model import WEIGHTING_RULES, ablation, detach, predict_direction
 from .retrieval import TaskSynonymTable, cosine_topk, filter_by_task
 
 DEGENERATE_ERROR_DEG = 180.0
@@ -21,14 +21,6 @@ def mae(a, b):
             raise ContractError(f"mae expects unit vectors, got norm "
                                 f"{np.linalg.norm(v)!r}")
     return float(np.degrees(np.arccos(np.clip(a @ b, -1.0, 1.0))))
-
-
-def ablation(variant):
-    """Validate a Table-style weighting-rule name and return it."""
-    if variant not in WEIGHTING_RULES:
-        raise ConfigError(f"unknown ablation variant {variant!r}; "
-                          f"choose from {WEIGHTING_RULES}")
-    return variant
 
 
 @dataclass
@@ -80,13 +72,11 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
     records = []
     for scene in sorted(test_scenes, key=lambda s: s.scene_id):
         refs = []
-        sims = []
         if k > 0:
             subset = filter_by_task(memory, scene.task, synonyms)
             result = cosine_topk(scene.embedding, memory, subset, k=k)
             refs = [(e.image, e.affordance.direction, s)
                     for _, e, s in result.entries]
-            sims = result.similarities
         _, unit = predict_direction(params, cfg, scene.image, refs,
                                     weighting=weighting)
         if unit is None:

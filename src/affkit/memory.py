@@ -55,12 +55,6 @@ class Memory:
     def __len__(self):
         return len(self.entries)
 
-    def task_index(self):
-        idx = {}
-        for i, e in enumerate(self.entries):
-            idx.setdefault(e.task, []).append(i)
-        return idx
-
 
 class InvalidTrajectory:
     """Sentinel for trajectories with no usable dominant orientation."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from . import autodiff as ad
-from . import store
+from . import kernels, store
 from .autodiff import Tensor
 from .errors import (ContractError, DimensionError, NumericError, ParseError,
                      SchemaError, ConfigError)
@@ -190,6 +190,14 @@ def gate(params, z_q, z_r):
     return ad.reshape(ad.sigmoid(out), out.shape[:-1])
 
 
+def ablation(variant):
+    """Validate a Table-style weighting-rule name and return it."""
+    if variant not in WEIGHTING_RULES:
+        raise ConfigError(f"unknown ablation variant {variant!r}; "
+                          f"choose from {WEIGHTING_RULES}")
+    return variant
+
+
 def dual_weights(sims, gates, eps=1e-8, rule="full"):
     """Combine similarity softmax with gate values along the last axis.
 
@@ -197,33 +205,25 @@ def dual_weights(sims, gates, eps=1e-8, rule="full"):
     no_gating:      same with all w_k := 1
     no_similarity:  same with softmax(s) := 1/K
     uniform:        exactly 1/K
+
+    `gates` is an array or a Tensor; the result is a Tensor.
     """
-    if rule not in WEIGHTING_RULES:
-        raise ConfigError(f"unknown weighting rule {rule!r}")
+    ablation(rule)
     s = np.asarray(sims, dtype=np.float64)
     if not np.isfinite(s).all():
         raise NumericError("dual_weights: non-finite similarity scores")
     k = s.shape[-1]
     if rule == "uniform":
-        out = np.full(s.shape, 1.0 / k)
-        return Tensor(out) if isinstance(gates, Tensor) else out
-
+        return Tensor(np.full(s.shape, 1.0 / k))
     if rule == "no_similarity":
         coef = np.full(s.shape, 1.0 / k)
     else:
-        shifted = s - s.max(axis=-1, keepdims=True)
-        ex = np.exp(shifted)
-        coef = ex / ex.sum(axis=-1, keepdims=True)
-
+        coef = kernels.softmax_rows(s.copy())
     if rule == "no_gating":
-        gates = np.ones(s.shape) if not isinstance(gates, Tensor) else Tensor(
-            np.ones(s.shape))
-    if isinstance(gates, Tensor):
-        numer = ad.mul(gates, Tensor(coef))
-        denom = ad.add(ad.sum_(numer, axis=-1, keepdims=True), eps)
-        return ad.div(numer, denom)
-    numer = coef * np.asarray(gates, dtype=np.float64)
-    return numer / (numer.sum(axis=-1, keepdims=True) + eps)
+        gates = np.ones(s.shape)
+    numer = ad.mul(gates, Tensor(coef))
+    denom = ad.add(ad.sum_(numer, axis=-1, keepdims=True), eps)
+    return ad.div(numer, denom)
 
 
 def _multi_head_attention(q_in, kv_in, cfg, wq, wk, wv, wo, bo, logit_bias=None):

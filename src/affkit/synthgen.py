@@ -24,6 +24,9 @@ N_CHANNELS = 4
 ORIENT_X_CHANNEL = 2  # holds cos(psi): the x component of a vector field
 N_ORIENT_BINS = 8
 SCENE_FORMAT = "affkit-scenes"
+# Smallest size whose 2x2 handle, placed 0.3 * size - 2 px from a centre
+# jittered by up to 3 px, always lies inside the image.
+MIN_SIZE = 11
 
 
 def hflip_image(image):
@@ -59,6 +62,8 @@ def get_variant(name, noise_std=None):
     base = VARIANT_PRESETS[name]
     if noise_std is None:
         return base
+    if not 0.0 <= noise_std < np.inf:
+        raise ConfigError(f"noise std must be finite and >= 0, got {noise_std}")
     return BenchmarkVariant(base.name, float(noise_std), base.ambiguous)
 
 
@@ -100,6 +105,8 @@ def generate_scene(task, seed, variant, size=48):
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
+    if size < MIN_SIZE:
+        raise ConfigError(f"scene size must be >= {MIN_SIZE}, got {size}")
     rng = np.random.default_rng(seed)
     h = w = size
     theta = rng.uniform(0.0, 2.0 * np.pi)

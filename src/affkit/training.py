@@ -1,13 +1,13 @@
 """Episode construction, horizontal-flip augmentation, and the training loop."""
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, TrainingAbort
-from .model import forward_direction, direction_loss
+from .model import ablation, forward_direction, direction_loss
 from .retrieval import TaskSynonymTable, cosine_topk, filter_by_task
 from .synthgen import hflip_image
 
@@ -36,6 +36,15 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
+        if self.batch_size < 1 or self.episodes_per_query < 1:
+            raise ConfigError("batch_size and episodes_per_query must be >= 1")
+        # Written so that a NaN fails too; lr = 0 is a legal frozen run.
+        if not self.lr >= 0:
+            raise ConfigError(f"lr must be >= 0, got {self.lr!r}")
+        if not 0 <= self.flip_prob <= 1:
+            raise ConfigError(
+                f"flip_prob must be in [0, 1], got {self.flip_prob!r}")
+        ablation(self.weighting)
 
 
 @dataclass
@@ -45,18 +54,6 @@ class Episode:
     similarities: tuple
     gt_direction: tuple
     flip: bool
-
-
-def hflip_scene(scene):
-    """Mirror a scene about the vertical axis (involution)."""
-    w = scene.image.shape[1]
-    return replace(
-        scene,
-        image=hflip_image(scene.image),
-        memory_image=hflip_image(scene.memory_image),
-        depth=scene.depth[:, ::-1].copy(),
-        contact=(w - 1 - scene.contact[0], scene.contact[1]),
-        direction=(-scene.direction[0], scene.direction[1]))
 
 
 def build_episodes(train_scenes, memory, synonyms, cfg, rng=None):

@@ -87,21 +87,21 @@ def test_criterion_01_gradient_fidelity():
 def test_criterion_02_dual_weighting_suite():
     """Hand arithmetic, shift invariance, weight-sum, K=1 normalization."""
     eps = 1e-8
-    out = dual_weights(np.array([1.0, 1.0]), np.array([0.8, 0.4]))
+    out = dual_weights(np.array([1.0, 1.0]), np.array([0.8, 0.4])).data
     np.testing.assert_allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-4)
 
     s = np.array([0.2, -1.3, 0.7])
     w = np.array([0.9, 0.1, 0.5])
-    base = dual_weights(s, w)
+    base = dual_weights(s, w).data
     for shift in (0.5, -64.0, 1024.0):  # dyadic: sums round identically
-        np.testing.assert_array_equal(dual_weights(s + shift, w), base)
+        np.testing.assert_array_equal(dual_weights(s + shift, w).data, base)
 
     soft = np.exp(s - s.max())
     soft /= soft.sum()
     big_s = float((soft * w).sum())
     assert base.sum() == pytest.approx(big_s / (big_s + eps), rel=1e-12)
 
-    single = dual_weights(np.array([0.3]), np.array([0.9]))
+    single = dual_weights(np.array([0.3]), np.array([0.9])).data
     assert single.sum() == pytest.approx(1.0, abs=1e-6)
     _report(2, "hand case, dyadic shift invariance (bitwise), "
                "weight-sum S/(S+eps), K=1 ~ 1")

@@ -86,6 +86,16 @@ def test_gen_rejects_bad_counts(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--size", "-3"], ["--size", "8"], ["--size", "10"],
+    ["--noise", "nan"], ["--noise", "-1"], ["--noise", "inf"]])
+def test_gen_rejects_bad_scene_options(tmp_path, args):
+    result = RUNNER.invoke(main, GEN_ARGS + args + ["--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "error: " in result.output
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -140,6 +150,21 @@ def test_train_malformed_config_section_exits_2(tmp_path, data_dir, section):
                                   str(tmp_path / "m.ckpt"), "--quiet"])
     assert result.exit_code == 2, result.output
     assert "error: " in result.output
+
+
+@pytest.mark.parametrize("train", [
+    {"batch_size": 0}, {"batch_size": -4}, {"episodes_per_query": 0},
+    {"lr": -0.1}, {"lr": float("nan")}, {"flip_prob": 7.0},
+    {"k": 0, "weighting": "bogus"}])
+def test_train_bad_config_value_exits_2(tmp_path, data_dir, train):
+    cfg = _write_config(tmp_path / "run.yaml", data_dir, **train)
+    result = RUNNER.invoke(main, ["train", "--config", cfg,
+                                  "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_config_not_yaml_exits_2(tmp_path):

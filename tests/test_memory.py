@@ -1,5 +1,7 @@
 """Affordance memory: trajectory reduction, construction, persistence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,8 +127,7 @@ def test_build_per_task_counts():
     samples = (_samples(3, "open", 0) + _samples(2, "close", 1)
                + _samples(4, "pickup", 2))
     memory = build_memory(samples)
-    index = memory.task_index()
-    assert {t: len(v) for t, v in index.items()} == {
+    assert Counter(e.task for e in memory.entries) == {
         "open": 3, "close": 2, "pickup": 4}
 
 

@@ -237,18 +237,19 @@ def test_gate_matches_hand_forward():
 
 def test_dual_weights_hand_case():
     out = dual_weights(np.array([1.0, 1.0]), np.array([0.8, 0.4]), eps=1e-8)
-    np.testing.assert_allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-4)
+    np.testing.assert_allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-4)
 
 
 def test_dual_weights_single_reference_close_to_one():
-    out = dual_weights(np.array([0.3]), np.array([0.7]), eps=1e-8)
+    out = dual_weights(np.array([0.3]), np.array([0.7]), eps=1e-8).data
     assert abs(out[0] - 1.0) < 1e-6
 
 
 def test_dual_weights_shift_invariance():
     s = np.array([0.25, -0.5, 0.75])
     w = np.array([0.9, 0.2, 0.6])
-    np.testing.assert_array_equal(dual_weights(s, w), dual_weights(s + 100.0, w))
+    np.testing.assert_array_equal(dual_weights(s, w).data,
+                                  dual_weights(s + 100.0, w).data)
 
 
 def test_dual_weights_sum_property():
@@ -256,7 +257,7 @@ def test_dual_weights_sum_property():
     s = rng.normal(size=4)
     w = rng.uniform(0.01, 0.99, size=4)
     eps = 1e-8
-    out = dual_weights(s, w, eps=eps)
+    out = dual_weights(s, w, eps=eps).data
     ex = np.exp(s - s.max())
     soft = ex / ex.sum()
     total = float((soft * w).sum())
@@ -267,19 +268,20 @@ def test_dual_weights_sum_property():
 def test_dual_weights_rules():
     s = np.array([0.0, 0.0])
     np.testing.assert_allclose(
-        dual_weights(np.zeros(4), np.ones(4), rule="uniform"), np.full(4, 0.25))
+        dual_weights(np.zeros(4), np.ones(4), rule="uniform").data,
+        np.full(4, 0.25))
     np.testing.assert_allclose(
-        dual_weights(s, np.array([0.9, 0.1]), rule="no_gating"),
+        dual_weights(s, np.array([0.9, 0.1]), rule="no_gating").data,
         [0.5, 0.5], atol=1e-7)
     # no_similarity ignores s entirely.
     np.testing.assert_allclose(
         dual_weights(np.array([5.0, -5.0]), np.array([0.5, 0.5]),
-                     rule="no_similarity"),
-        dual_weights(np.array([0.0, 0.0]), np.array([0.5, 0.5])),
+                     rule="no_similarity").data,
+        dual_weights(np.array([0.0, 0.0]), np.array([0.5, 0.5])).data,
         atol=1e-12)
     # full with equal s and equal gates collapses to uniform.
     np.testing.assert_allclose(
-        dual_weights(np.array([2.0, 2.0]), np.array([0.3, 0.3])),
+        dual_weights(np.array([2.0, 2.0]), np.array([0.3, 0.3])).data,
         [0.5, 0.5], atol=1e-7)
 
 
@@ -293,12 +295,19 @@ def test_dual_weights_unknown_rule():
         dual_weights(np.zeros(2), np.ones(2), rule="bogus")
 
 
-def test_dual_weights_tensor_path_matches_numpy():
+@pytest.mark.parametrize("rule", ["full", "no_similarity"])
+def test_dual_weights_gate_gradcheck(rule):
     rng = np.random.default_rng(9)
     s = rng.normal(size=(2, 3))
-    w = rng.uniform(0.1, 0.9, size=(2, 3))
-    tensor_out = dual_weights(s, Tensor(w, requires_grad=True)).data
-    np.testing.assert_allclose(tensor_out, dual_weights(s, w), atol=1e-12)
+    probe = rng.normal(size=(2, 3))
+    params = {"w": Tensor(rng.uniform(0.1, 0.9, size=(2, 3)),
+                          requires_grad=True)}
+
+    def fn():
+        out = dual_weights(s, params["w"], rule=rule)
+        return ad.sum_(ad.mul(out, Tensor(probe)))
+
+    assert ad.finite_diff_check(fn, params, samples_per_param=6) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +390,7 @@ def _composed_attention(q_in, kv_in, cfg, wq, wk, wv, wo, bo, logit_bias=None):
     logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
     if logit_bias is not None:
         logits = ad.add(logits, ad.reshape(logit_bias, (b, 1, 1, m)))
-    attn = ad.softmax(logits, axis=-1)
+    attn = ad.softmax(logits)
     out = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
     out = ad.reshape(out, (b, n_q, d))
     return ad.add(ad.matmul(out, wo), bo)

@@ -34,6 +34,27 @@ def test_unknown_task_rejected():
         generate_scene("juggle", 0, NOISELESS)
 
 
+@pytest.mark.parametrize("noise", [-1.0, -1e-9, np.nan, np.inf])
+def test_bad_noise_std_rejected(noise):
+    with pytest.raises(ConfigError):
+        get_variant("noisy", noise_std=noise)
+
+
+@pytest.mark.parametrize("size", [-3, 0, 6, 8, 10])
+def test_size_below_minimum_rejected(size):
+    with pytest.raises(ConfigError):
+        generate_scene("open", 0, NOISELESS, size=size)
+
+
+@pytest.mark.parametrize("size", [11, 12])
+def test_handle_inside_image_from_minimum_size(size):
+    for seed in range(500):
+        s = generate_scene("open", seed, NOISELESS, size=size)
+        c0, r0 = int(s.contact[0]), int(s.contact[1])
+        assert 0 <= c0 <= size - 2 and 0 <= r0 <= size - 2
+        assert (s.image[r0:r0 + 2, c0:c0 + 2, 1] == HANDLE_VALUE).all()
+
+
 # ---------------------------------------------------------------------------
 # single scenes
 

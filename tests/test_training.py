@@ -1,14 +1,16 @@
 """Episode sampling, flip augmentation, and the optimization loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import affkit.training as training
 from affkit.errors import ConfigError, TrainingAbort
 from affkit.model import ModelConfig, init_model
-from affkit.synthgen import generate_split, get_variant, TASKS
+from affkit.synthgen import generate_split, get_variant, hflip_image, TASKS
 from affkit.training import (Episode, TrainConfig, build_episodes,
-                             hflip_scene, load_history, save_history, train)
+                             load_history, save_history, train)
 
 TINY_MODEL = ModelConfig(d=8, patch_size=4, image_h=16, image_w=16, channels=4,
                          n_layers=1, n_heads=2, d_ff=16, film_hidden=8,
@@ -36,6 +38,14 @@ def test_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ConfigError):
         TrainConfig(max_epochs=0)
+    for bad in (dict(batch_size=0), dict(batch_size=-4),
+                dict(episodes_per_query=0), dict(lr=-0.1),
+                dict(lr=float("nan")), dict(flip_prob=-0.5),
+                dict(flip_prob=7.0), dict(flip_prob=float("nan")),
+                dict(k=0, weighting="bogus")):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+    TrainConfig(lr=0.0, flip_prob=1.0, batch_size=1, episodes_per_query=1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,45 +110,72 @@ def test_empty_pool_skips_query(tiny_data):
 # horizontal flip
 
 
+def _assemble(scenes, memory, flips, directions=None, flip_references=False):
+    """`training._assemble_batch` over one two-reference episode per scene."""
+    cfg = TrainConfig(k=2, candidate_pool_size=10,
+                      flip_references=flip_references)
+    directions = directions or [s.direction for s in scenes]
+    batch = [Episode(s.scene_id, ref_indices=(0, 1), similarities=(0.5, 0.25),
+                     gt_direction=d, flip=f)
+             for s, d, f in zip(scenes, directions, flips)]
+    return training._assemble_batch(batch, {s.scene_id: s for s in scenes},
+                                    memory, cfg)
+
+
 def test_flip_direction_components(tiny_data):
-    train_scenes, _, _ = tiny_data
-    from dataclasses import replace
-    scene = replace(train_scenes[0], direction=(1.0, 0.0))
-    assert hflip_scene(scene).direction == (-1.0, 0.0)
-    scene = replace(train_scenes[0], direction=(0.0, 1.0))
-    assert hflip_scene(scene).direction == (0.0, 1.0)
+    train_scenes, _, memory = tiny_data
+    dirs = [(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)]
+    *_, targets = _assemble(train_scenes[:3], memory, [True] * 3, dirs)
+    np.testing.assert_array_equal(targets, [(-1.0, 0.0), (0.0, 1.0),
+                                            (-0.6, -0.8)])
+    *_, targets = _assemble(train_scenes[:3], memory, [False] * 3, dirs)
+    np.testing.assert_array_equal(targets, dirs)
 
 
 def test_flip_is_involution(tiny_data):
-    train_scenes, _, _ = tiny_data
+    """The flipped query is `hflip_image` of the scene image, and flipping
+    the flipped query and target again gives back the originals."""
+    train_scenes, _, memory = tiny_data
     scene = train_scenes[3]
-    twice = hflip_scene(hflip_scene(scene))
-    np.testing.assert_array_equal(twice.image, scene.image)
-    np.testing.assert_array_equal(twice.memory_image, scene.memory_image)
-    np.testing.assert_array_equal(twice.depth, scene.depth)
-    assert twice.contact == scene.contact
-    assert twice.direction == scene.direction
+    queries, *_, targets = _assemble([scene], memory, [True])
+    np.testing.assert_array_equal(queries[0], hflip_image(scene.image))
+    mirrored = replace(scene, image=queries[0])
+    queries, *_, targets = _assemble([mirrored], memory, [True],
+                                     [tuple(targets[0])])
+    np.testing.assert_array_equal(queries[0], scene.image)
+    assert tuple(targets[0]) == scene.direction
 
 
-def test_flip_moves_contact(tiny_data):
-    train_scenes, _, _ = tiny_data
-    scene = train_scenes[0]
-    w = scene.image.shape[1]
-    assert hflip_scene(scene).contact == (w - 1 - scene.contact[0],
-                                          scene.contact[1])
+@pytest.mark.parametrize("flip_references", [False, True])
+def test_flip_references_only_when_set(tiny_data, flip_references):
+    train_scenes, _, memory = tiny_data
+    _, ref_imgs, ref_dirs, sims, _ = _assemble(
+        train_scenes[:2], memory, [True, False],
+        flip_references=flip_references)
+    np.testing.assert_array_equal(sims, [(0.5, 0.25)] * 2)
+    for j, entry in enumerate(memory.entries[:2]):
+        image, (dx, dy) = entry.image, entry.affordance.direction
+        if flip_references:
+            image, dx = hflip_image(image), -dx
+        np.testing.assert_array_equal(ref_imgs[0, j], image)
+        np.testing.assert_array_equal(ref_dirs[0, j], (dx, dy))
+        # References of an unflipped episode never flip.
+        np.testing.assert_array_equal(ref_imgs[1, j], entry.image)
+        np.testing.assert_array_equal(ref_dirs[1, j],
+                                      entry.affordance.direction)
 
 
 def test_flip_keeps_scene_self_consistent(tiny_data):
-    """A flipped open scene still satisfies direction == mean orientation
+    """A flipped open-scene query still satisfies target == mean orientation
     field over object pixels, i.e. flipping stays in-distribution."""
-    train_scenes, _, _ = tiny_data
-    for scene in train_scenes[:5]:
-        flipped = hflip_scene(scene)
-        mask = flipped.image[:, :, 0] > 0.5
-        field = np.array([flipped.image[:, :, 2][mask].mean(),
-                          flipped.image[:, :, 3][mask].mean()])
+    train_scenes, _, memory = tiny_data
+    queries, *_, targets = _assemble(train_scenes[:5], memory, [True] * 5)
+    for query, target in zip(queries, targets):
+        mask = query[:, :, 0] > 0.5
+        field = np.array([query[:, :, 2][mask].mean(),
+                          query[:, :, 3][mask].mean()])
         field /= np.linalg.norm(field)
-        np.testing.assert_allclose(field, flipped.direction, atol=1e-6)
+        np.testing.assert_allclose(field, target, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
