@@ -20,7 +20,7 @@ from .errors import (AffkitError, ConfigError, GeometryError, LeakageError,
 from . import evaluation, store, synthgen, training
 from .correspondence import transfer_contact
 from .lifting import lift_affordance
-from .memory import load_memory, save_memory
+from .memory import Affordance2D, load_memory, save_memory
 from .model import (ModelConfig, init_model, load_checkpoint,
                     predict_direction, save_checkpoint)
 from .retrieval import TaskSynonymTable, cosine_topk, filter_by_task
@@ -61,7 +61,8 @@ def main():
 @click.option("--variant", required=True,
               type=click.Choice(sorted(synthgen.VARIANT_PRESETS)))
 @click.option("--tasks", default="open,close,pickup", show_default=True)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--out", required=True, type=click.Path())
 @click.option("--n-train", default=70, show_default=True, type=int)
 @click.option("--n-test", default=30, show_default=True, type=int)
@@ -297,18 +298,16 @@ def predict(checkpoint, scene_path, index, memory_path, k, variant_rule,
 
     subset = filter_by_task(memory, scene.task, synonyms)
     top = cosine_topk(scene.embedding, memory, subset, k=max(k, 1),
-                      exclude=scene.scene_id) if subset else None
+                      exclude=scene.scene_id)
 
     contact = None
-    if top is not None and len(top) > 0:
+    if len(top) > 0:
         ref_entry = top.entries[0][1]
         contact = transfer_contact(ref_entry.image,
                                    ref_entry.affordance.contact, scene.image)
 
-    refs = []
-    if k > 0 and top is not None:
-        refs = [(e.image, e.affordance.direction, s)
-                for _, e, s in top.entries[:k]]
+    refs = [(e.image, e.affordance.direction, s)
+            for _, e, s in top.entries[:k]]
     raw, unit = predict_direction(params, cfg, scene.image, refs,
                                   weighting=variant_rule)
 
@@ -320,7 +319,6 @@ def predict(checkpoint, scene_path, index, memory_path, k, variant_rule,
     if do_lift:
         if contact is None:
             raise ConfigError("--lift needs a contact point (empty retrieval)")
-        from .memory import Affordance2D
         if unit is None:
             raise NumericError("degenerate direction prediction; cannot lift")
         aff3d = lift_affordance(

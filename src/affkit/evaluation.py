@@ -17,7 +17,7 @@ def mae(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     for v in (a, b):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-6:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:  # NaN fails too
             raise ContractError(f"mae expects unit vectors, got norm "
                                 f"{np.linalg.norm(v)!r}")
     return float(np.degrees(np.arccos(np.clip(a @ b, -1.0, 1.0))))

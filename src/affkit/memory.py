@@ -33,8 +33,10 @@ class Affordance2D:
     direction: tuple  # (x, y), unit norm
 
     def __post_init__(self):
+        if not np.isfinite(np.asarray(self.contact, dtype=np.float64)).all():
+            raise ContractError(f"contact {self.contact} is not finite")
         d = np.asarray(self.direction, dtype=np.float64)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:  # NaN fails too
             raise ContractError(f"direction {self.direction} is not unit norm")
 
 
@@ -66,12 +68,9 @@ class InvalidTrajectory:
 INVALID = InvalidTrajectory()
 
 
-def reduce_trajectory(points, mode="pca"):
-    """Dominant motion direction of a 2D trajectory, or INVALID.
-
-    `mode` is "pca" (signed first principal component, sign fixed by net
-    displacement) or "endpoint" (net displacement only).
-    """
+def reduce_trajectory(points):
+    """Dominant motion direction of a 2D trajectory, or INVALID: the first
+    principal component, its sign fixed by the net displacement."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
         raise ContractError(f"trajectory needs >= 2 2D points, got shape {pts.shape}")
@@ -81,11 +80,6 @@ def reduce_trajectory(points, mode="pca"):
     disp = pts[-1] - pts[0]
     if np.linalg.norm(disp) < DEGENERATE_EPS:
         return INVALID
-
-    if mode == "endpoint":
-        return tuple(disp / np.linalg.norm(disp))
-    if mode != "pca":
-        raise ContractError(f"unknown reduction mode {mode!r}")
 
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / pts.shape[0]
@@ -98,7 +92,7 @@ def reduce_trajectory(points, mode="pca"):
     return tuple(axis / np.linalg.norm(axis))
 
 
-def build_memory(samples, reduction_mode="pca"):
+def build_memory(samples):
     """Build a Memory from (image, embedding, task, annotation[, source_id]).
 
     The annotation is either an Affordance2D (passed through) or a
@@ -121,7 +115,7 @@ def build_memory(samples, reduction_mode="pca"):
         if isinstance(annotation, Affordance2D):
             aff = annotation
         else:
-            direction = reduce_trajectory(annotation, mode=reduction_mode)
+            direction = reduce_trajectory(annotation)
             if direction is INVALID:
                 continue
             contact = tuple(np.asarray(annotation, dtype=np.float64)[0])

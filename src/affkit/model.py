@@ -2,7 +2,7 @@
 
 Query and reference images are encoded by a shared trainable
 patchify-and-project encoder. Reference tokens are FiLM-modulated by
-their action vectors and tagged with per-slot ID embeddings; a gated
+their action vectors and tagged with per-rank ID embeddings; a gated
 cross-attention layer fuses them into the query tokens, weighted by the
 dual (similarity x learned-gate) scheme; a pre-norm transformer encoder
 with a CLS token regresses the raw 2D direction.
@@ -34,10 +34,8 @@ class ModelConfig:
     n_heads: int = 4
     d_ff: int = 256
     k_max: int = 4
-    eps: float = 1e-8
     film_hidden: int = 32
     gate_hidden: int = 32
-    attn_mode: str = "logit_bias"  # or "output_mix"
 
     def __post_init__(self):
         sizes = {f.name: getattr(self, f.name) for f in fields(self)
@@ -46,14 +44,10 @@ class ModelConfig:
             raise ConfigError(f"sizes must be >= 1, got {sizes}")
         if self.d % self.n_heads != 0:
             raise ConfigError(f"d={self.d} not divisible by n_heads={self.n_heads}")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ConfigError(
                 f"image {self.image_h}x{self.image_w} not divisible by "
                 f"patch size {self.patch_size}")
-        if self.attn_mode not in ("logit_bias", "output_mix"):
-            raise ConfigError(f"unknown attn_mode {self.attn_mode!r}")
 
     @property
     def n_patches(self):
@@ -166,15 +160,13 @@ def film_modulate(feats, gamma, beta):
     return ad.add(ad.mul(feats, gamma), beta)
 
 
-def add_ref_id(params, feats, slots):
-    """Add the per-slot reference ID embedding to (..., K, N, d) tokens."""
-    k_max = params["eref"].shape[0]
-    for s in slots:
-        if not 0 <= s < k_max:
-            raise ContractError(f"reference slot {s} outside [0, {k_max})")
-    rows = ad.concat([ad.narrow(params["eref"], 0, s, 1) for s in slots], axis=0)
-    rows = ad.reshape(rows, (1, len(slots), 1, feats.shape[-1]))
-    return ad.add(feats, rows)
+def add_ref_id(params, feats):
+    """Add rank k's ID embedding to reference k of (B, K, N, d) tokens."""
+    k, k_max = feats.shape[1], params["eref"].shape[0]
+    if k > k_max:
+        raise ContractError(f"{k} references exceed k_max={k_max}")
+    rows = ad.narrow(params["eref"], 0, 0, k)
+    return ad.add(feats, ad.reshape(rows, (1, k, 1, feats.shape[-1])))
 
 
 def global_pool(feats, keepdims=False):
@@ -241,29 +233,18 @@ def gated_cross_attention(params, cfg, f_q, ref_tokens, w_final):
     """Fuse reference tokens into the query tokens, residually.
 
     ref_tokens: Tensor (B, K, N, d); w_final: Tensor (B, K).
-    In "logit_bias" mode every key inherits log(w_k + 1e-12) as an additive
-    attention-logit bias; in "output_mix" mode each reference is attended
-    separately and the outputs are combined with w_final.
+    The query attends over the K*N reference tokens at once, and every key
+    of reference k inherits log(w_k + 1e-12) as an additive logit bias.
     """
     b, k, n, d = ref_tokens.shape
-    args = (cfg, params["xattn.wq"], params["xattn.wk"], params["xattn.wv"],
-            params["xattn.wo"], params["xattn.bo"])
-    if cfg.attn_mode == "logit_bias":
-        f_mem = ad.reshape(ref_tokens, (b, k * n, d))
-        bias = ad.log(ad.add(w_final, 1e-12))
-        bias = ad.mul(ad.reshape(bias, (b, k, 1)), Tensor(np.ones((1, 1, n))))
-        bias = ad.reshape(bias, (b, k * n))
-        fused = _multi_head_attention(f_q, f_mem, *args, logit_bias=bias)
-    else:
-        pieces = []
-        for j in range(k):
-            mem_j = ad.reshape(ad.narrow(ref_tokens, 1, j, 1), (b, n, d))
-            out_j = _multi_head_attention(f_q, mem_j, *args)
-            wj = ad.reshape(ad.narrow(w_final, 1, j, 1), (b, 1, 1))
-            pieces.append(ad.mul(out_j, wj))
-        fused = pieces[0]
-        for piece in pieces[1:]:
-            fused = ad.add(fused, piece)
+    f_mem = ad.reshape(ref_tokens, (b, k * n, d))
+    bias = ad.log(ad.add(w_final, 1e-12))
+    bias = ad.mul(ad.reshape(bias, (b, k, 1)), Tensor(np.ones((1, 1, n))))
+    bias = ad.reshape(bias, (b, k * n))
+    fused = _multi_head_attention(
+        f_q, f_mem, cfg, params["xattn.wq"], params["xattn.wk"],
+        params["xattn.wv"], params["xattn.wo"], params["xattn.bo"],
+        logit_bias=bias)
     return ad.add(f_q, fused)
 
 
@@ -282,7 +263,7 @@ def _encoder_block(params, prefix, cfg, x):
 
 
 def forward_direction(params, cfg, query_images, ref_images=None, ref_dirs=None,
-                      sims=None, weighting="full", slots=None):
+                      sims=None, weighting="full"):
     """Raw (unnormalized) direction predictions, Tensor (B, 2).
 
     query_images: (B, H, W, C); ref_images: (B, K, H, W, C) or None for the
@@ -295,26 +276,22 @@ def forward_direction(params, cfg, query_images, ref_images=None, ref_dirs=None,
     if ref_images is not None and np.size(ref_images):
         ref_images = np.asarray(ref_images, dtype=np.float64)
         k = ref_images.shape[1]
-        if k > cfg.k_max:
-            raise ContractError(f"{k} references exceed k_max={cfg.k_max}")
         ref_dirs = np.asarray(ref_dirs, dtype=np.float64)
         norms = np.linalg.norm(ref_dirs, axis=-1)
-        if np.abs(norms - 1.0).max() > 1e-6:
+        if not np.abs(norms - 1.0).max() <= 1e-6:  # NaN fails too
             raise ContractError("reference action vectors must be unit norm")
-        if slots is None:
-            slots = list(range(k))
 
         f_r = encode_patches(params, cfg, ref_images)
         gamma, beta = film_params(params, Tensor(ref_dirs))
         f_r = film_modulate(f_r, gamma, beta)
-        f_r = add_ref_id(params, f_r, slots)
+        f_r = add_ref_id(params, f_r)
 
         z_q = global_pool(f_q)  # (B, d)
         z_r = global_pool(f_r)  # (B, K, d)
         z_q_rep = ad.add(ad.reshape(z_q, (b, 1, cfg.d)),
                          Tensor(np.zeros((b, k, cfg.d))))
         gates = gate(params, z_q_rep, z_r)  # (B, K)
-        w_final = dual_weights(sims, gates, eps=cfg.eps, rule=weighting)
+        w_final = dual_weights(sims, gates, rule=weighting)
         fused = gated_cross_attention(params, cfg, f_q, f_r, w_final)
     else:
         fused = f_q
@@ -339,8 +316,7 @@ def detach(params):
             for name, p in params.items()}
 
 
-def predict_direction(params, cfg, query_image, refs=(), weighting="full",
-                      slots=None):
+def predict_direction(params, cfg, query_image, refs=(), weighting="full"):
     """Single-query prediction, on detached parameters (no tape is built).
 
     refs: sequence of (image, unit direction, similarity). Returns
@@ -354,7 +330,7 @@ def predict_direction(params, cfg, query_image, refs=(), weighting="full",
         dirs = np.asarray([r[1] for r in refs], dtype=np.float64)[None]
         sims = np.asarray([r[2] for r in refs], dtype=np.float64)[None]
         out = forward_direction(params, cfg, query, images, dirs, sims,
-                                weighting=weighting, slots=slots)
+                                weighting=weighting)
     else:
         out = forward_direction(params, cfg, query)
     raw = out.data[0].copy()

@@ -94,7 +94,7 @@ class Record:
         return self.fields[key]
 
     def floats(self, key, size):
-        """Field `key`, a list of `size` numbers, as a float64 array."""
+        """Field `key`, a list of `size` finite numbers, as a float64 array."""
         try:
             arr = np.asarray(self.get(key, list), dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -102,6 +102,9 @@ class Record:
         if arr.shape != (size,):
             raise ParseError(f"field {key!r} has shape {arr.shape}, "
                              f"expected ({size},)", line=self.line)
+        if not np.isfinite(arr).all():
+            raise ParseError(f"field {key!r} holds a non-finite value",
+                             line=self.line)
         return arr
 
     def array(self, key, shape):

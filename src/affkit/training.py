@@ -38,9 +38,12 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= 1")
         if self.batch_size < 1 or self.episodes_per_query < 1:
             raise ConfigError("batch_size and episodes_per_query must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # Written so that a NaN fails too; lr = 0 is a legal frozen run.
-        if not self.lr >= 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr!r}")
+        if not (self.lr >= 0 and self.improvement_eps >= 0):
+            raise ConfigError(f"lr and improvement_eps must be >= 0, got "
+                              f"{self.lr!r} and {self.improvement_eps!r}")
         if not 0 <= self.flip_prob <= 1:
             raise ConfigError(
                 f"flip_prob must be in [0, 1], got {self.flip_prob!r}")

@@ -1,8 +1,8 @@
 """Acceptance gate: ten numbered criteria, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
-The two training-based criteria (5-7) take a few minutes of CPU; the rest
-complete in seconds.
+The three training-based criteria (5-7) take minutes of CPU and are
+marked `slow`; the rest complete in seconds.
 """
 
 import time
@@ -152,6 +152,7 @@ def test_criterion_04_correspondence_oracle():
                "argmax invariant under 100 positive rescalings")
 
 
+@pytest.mark.slow
 def test_criterion_05_end_to_end_learnability():
     """Noiseless 70/30 x 3 tasks, K=3, defaults: test MAE < 10 deg."""
     t0 = time.time()
@@ -171,6 +172,7 @@ def test_criterion_05_end_to_end_learnability():
                f"epochs in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_06_retrieval_augmentation_causality():
     """Reference-informative: K=0 near-blind (>=60), K=3 accurate (<30)."""
     variant = get_variant("reference-informative")
@@ -188,6 +190,7 @@ def test_criterion_06_retrieval_augmentation_causality():
     _report(6, f"{wins}/3 seeds pass ({detail})")
 
 
+@pytest.mark.slow
 def test_criterion_07_ablation_ordering():
     """Noisy reference-informative: dual weighting <= uniform + 2 deg."""
     variant = get_variant("reference-informative", noise_std=0.05)

@@ -96,6 +96,14 @@ def test_gen_rejects_bad_scene_options(tmp_path, args):
     assert not list(tmp_path.iterdir())
 
 
+def test_gen_rejects_negative_seed(tmp_path):
+    result = RUNNER.invoke(main, GEN_ARGS + ["--seed", "-1",
+                                             "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -155,10 +163,22 @@ def test_train_malformed_config_section_exits_2(tmp_path, data_dir, section):
 @pytest.mark.parametrize("train", [
     {"batch_size": 0}, {"batch_size": -4}, {"episodes_per_query": 0},
     {"lr": -0.1}, {"lr": float("nan")}, {"flip_prob": 7.0},
-    {"k": 0, "weighting": "bogus"}])
+    {"k": 0, "weighting": "bogus"}, {"seed": -1},
+    {"improvement_eps": float("nan")}, {"improvement_eps": -1e-6}])
 def test_train_bad_config_value_exits_2(tmp_path, data_dir, train):
     cfg = _write_config(tmp_path / "run.yaml", data_dir, **train)
     result = RUNNER.invoke(main, ["train", "--config", cfg,
+                                  "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_negative_seed_flag_exits_2(tmp_path, data_dir):
+    cfg = _write_config(tmp_path / "run.yaml", data_dir)
+    result = RUNNER.invoke(main, ["train", "--config", cfg, "--seed", "-1",
                                   "--out-checkpoint",
                                   str(tmp_path / "m.ckpt"), "--quiet"])
     assert result.exit_code == 2, result.output

@@ -36,6 +36,11 @@ def test_mae_rejects_non_unit():
         mae((1, 1), (1, 0))
     with pytest.raises(ContractError):
         mae((1, 0), (0.5, 0))
+    for v in ((math.nan, 0.0), (math.nan, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ContractError):
+            mae(v, (1, 0))
+        with pytest.raises(ContractError):
+            mae((1, 0), v)
 
 
 @given(st.floats(0, 360), st.floats(0, 360))
@@ -90,7 +95,7 @@ def test_oracle_model_scores_zero(small_split, monkeypatch):
     gt = {s.scene_id: s.direction for s in test_scenes}
     calls = {"n": 0}
 
-    def echo(params, cfg, image, refs=(), weighting="full", slots=None):
+    def echo(params, cfg, image, refs=(), weighting="full"):
         calls["n"] += 1
         for s in test_scenes:
             if np.array_equal(s.image, image):

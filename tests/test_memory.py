@@ -39,6 +39,19 @@ def test_affordance_requires_unit_direction():
     Affordance2D(contact=(0.0, 0.0), direction=(0.6, 0.8))  # ok
 
 
+@pytest.mark.parametrize("contact,direction", [
+    ((0.0, 0.0), (np.nan, np.nan)),
+    ((0.0, 0.0), (np.nan, 1.0)),
+    ((0.0, 0.0), (np.inf, 0.0)),
+    ((np.nan, 0.0), (1.0, 0.0)),
+    ((0.0, np.inf), (1.0, 0.0)),
+    ((-np.inf, 0.0), (1.0, 0.0)),
+])
+def test_affordance_rejects_non_finite(contact, direction):
+    with pytest.raises(ContractError):
+        Affordance2D(contact=contact, direction=direction)
+
+
 def test_normalize_task():
     assert normalize_task("  Open   DRAWER ") == "open drawer"
 
@@ -72,12 +85,6 @@ def test_reduce_matches_pca_oracle():
         axis = -axis  # sign toward +x (the net displacement here)
     np.testing.assert_allclose(got, axis, atol=1e-12)
     assert got[0] > 0
-
-
-def test_reduce_endpoint_mode():
-    np.testing.assert_allclose(
-        reduce_trajectory([(0, 0), (5, 0), (3, 4)], mode="endpoint"),
-        (0.6, 0.8), atol=1e-12)
 
 
 def test_reduce_too_few_points():

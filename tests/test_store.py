@@ -48,8 +48,7 @@ GOLDEN_SCENES = (
 GOLDEN_CHECKPOINT = (
     '{"format": "affkit-checkpoint", "version": 1, "config": {"d": 4, "patch_si'
     'ze": 4, "image_h": 48, "image_w": 48, "channels": 4, "n_layers": 6, "n_hea'
-    'ds": 2, "d_ff": 256, "k_max": 4, "eps": 1e-08, "film_hidden": 32, "gate_hi'
-    'dden": 32, "attn_mode": "logit_bias"}}\n'
+    'ds": 2, "d_ff": 256, "k_max": 4, "film_hidden": 32, "gate_hidden": 32}}\n'
     '{"name": "enc.b", "shape": [2], "data": "AAAAAAAA4L8AAAAAAADgPw=="}\n')
 
 TINY = ModelConfig(d=4, patch_size=2, image_h=2, image_w=2, channels=4,
@@ -147,6 +146,7 @@ def _nested(i, key, **changes):
 
 
 SEVEN_BYTES = base64.b64encode(b"\0" * 7).decode("ascii")
+NAN, INF = float("nan"), float("inf")  # json writes them as NaN, Infinity
 
 COMMON_CASES = [  # (id, edit, line of the error)
     ("header-not-dict", _raw(0, b"[1]"), 1),
@@ -172,6 +172,12 @@ STORE_CASES = COMMON_CASES + [
     ("contact-1-coord", _set(1, "contact", [1.0]), 2),
     ("contact-not-numbers", _set(1, "contact", ["a", "b"]), 2),
     ("embedding-1-element", _set(1, "embedding", [0.5]), 2),
+    ("contact-nan", _set(1, "contact", [NAN, 0.0]), 2),
+    ("contact-inf", _set(1, "contact", [1.0, -INF]), 2),
+    ("direction-nan", _set(1, "direction", [NAN, NAN]), 2),
+    ("direction-inf", _set(1, "direction", [INF, 0.0]), 2),
+    ("embedding-nan", _set(1, "embedding", [NAN] + [0.0] * 11), 2),
+    ("embedding-inf", _set(1, "embedding", [0.0] * 11 + [INF]), 2),
 ]
 MEMORY_CASES = STORE_CASES + [
     ("d_emb-missing", _drop(0, "d_emb"), 1),
@@ -199,7 +205,10 @@ CHECKPOINT_CASES = COMMON_CASES + [
     ("payload-7-bytes", _set(3, "data", SEVEN_BYTES), 4),
     ("config-missing", _drop(0, "config"), 1),
     ("config-unknown-key", _nested(0, "config", width=3), 1),
-    ("config-missing-key", _nested(0, "config", attn_mode=None), 1),
+    ("config-missing-key", _nested(0, "config", k_max=None), 1),
+    # The config of a checkpoint written before these two keys were removed.
+    ("config-removed-key",
+     _nested(0, "config", attn_mode="logit_bias", eps=1e-08), 1),
     ("config-mistyped", _nested(0, "config", d="4"), 1),
 ]
 

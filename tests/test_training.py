@@ -42,10 +42,13 @@ def test_config_validation():
                 dict(episodes_per_query=0), dict(lr=-0.1),
                 dict(lr=float("nan")), dict(flip_prob=-0.5),
                 dict(flip_prob=7.0), dict(flip_prob=float("nan")),
-                dict(k=0, weighting="bogus")):
+                dict(k=0, weighting="bogus"), dict(seed=-1),
+                dict(improvement_eps=float("nan")),
+                dict(improvement_eps=-1e-6)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
-    TrainConfig(lr=0.0, flip_prob=1.0, batch_size=1, episodes_per_query=1)
+    TrainConfig(lr=0.0, flip_prob=1.0, batch_size=1, episodes_per_query=1,
+                seed=0, improvement_eps=0.0)
 
 
 # ---------------------------------------------------------------------------
