@@ -23,7 +23,7 @@ from .lifting import lift_affordance
 from .memory import Affordance2D, load_memory, save_memory
 from .model import (ModelConfig, init_model, load_checkpoint,
                     predict_direction, save_checkpoint)
-from .retrieval import TaskSynonymTable, cosine_topk, filter_by_task
+from .retrieval import TaskSynonymTable, retrieve
 from .training import TrainConfig, build_episodes, save_history, train
 
 EXIT_CONFIG, EXIT_NUMERIC, EXIT_LEAKAGE, EXIT_GEOMETRY = 2, 3, 4, 5
@@ -147,6 +147,8 @@ def _load_dataset(data_dir):
 
 
 def _model_config(kwargs, scenes):
+    if not scenes:
+        raise ConfigError("the train split holds no scenes")
     h, w, c = scenes[0].image.shape
     kwargs.setdefault("image_h", h)
     kwargs.setdefault("image_w", w)
@@ -231,9 +233,13 @@ def eval_cmd(data_dir, checkpoints, k, variant_rule, seeds, k_sweep_spec,
         if len(checkpoints) != len(ks):
             raise ConfigError(f"--k-sweep {k_sweep_spec} needs {len(ks)} "
                               f"checkpoints, got {len(checkpoints)}")
-        models = {kk: load_checkpoint(ck) for kk, ck in zip(ks, checkpoints)}
-        rows = evaluation.k_sweep(models, test_scenes, memory,
-                                  synonyms=synonyms, weighting=variant_rule)
+        rows = []
+        for kk, ck in zip(ks, checkpoints):
+            params, cfg = load_checkpoint(ck)
+            report = evaluation.evaluate(params, cfg, test_scenes, memory, kk,
+                                         synonyms=synonyms,
+                                         weighting=variant_rule)
+            rows.append((kk, report.overall))
         for kk, value in rows:
             click.echo(f"K={kk}\tMAE={value:.3f} deg")
         if out:
@@ -296,9 +302,7 @@ def predict(checkpoint, scene_path, index, memory_path, k, variant_rule,
     memory = load_memory(memory_path)
     synonyms = _synonyms_option(synonyms_json)
 
-    subset = filter_by_task(memory, scene.task, synonyms)
-    top = cosine_topk(scene.embedding, memory, subset, k=max(k, 1),
-                      exclude=scene.scene_id)
+    top = retrieve(memory, scene, max(k, 1), synonyms, exclude=scene.scene_id)
 
     contact = None
     if len(top) > 0:
@@ -306,9 +310,7 @@ def predict(checkpoint, scene_path, index, memory_path, k, variant_rule,
         contact = transfer_contact(ref_entry.image,
                                    ref_entry.affordance.contact, scene.image)
 
-    refs = [(e.image, e.affordance.direction, s)
-            for _, e, s in top.entries[:k]]
-    raw, unit = predict_direction(params, cfg, scene.image, refs,
+    raw, unit = predict_direction(params, cfg, scene.image, top.refs[:k],
                                   weighting=variant_rule)
 
     result = {"scene_id": scene.scene_id, "task": scene.task,

@@ -3,6 +3,7 @@
 import numpy as np
 
 from .errors import ContractError, NoCorrespondenceError
+from .kernels import cosine_rows
 
 
 def best_match_index(features, ref_feature):
@@ -10,13 +11,9 @@ def best_match_index(features, ref_feature):
     flat = np.ascontiguousarray(features, dtype=np.float64).reshape(
         -1, features.shape[-1])
     ref = np.ascontiguousarray(ref_feature, dtype=np.float64)
-    ref_norm = float(np.linalg.norm(ref))
-    if ref_norm == 0.0:
+    if np.linalg.norm(ref) == 0.0:
         raise NoCorrespondenceError("reference contact feature has zero norm")
-    norms = np.sqrt((flat * flat).sum(axis=1))
-    sims = np.full(flat.shape[0], -np.inf)
-    ok = norms > 0
-    sims[ok] = flat[ok] @ ref / (norms[ok] * ref_norm)
+    sims = cosine_rows(flat, ref)
     if not np.isfinite(sims).any():
         return -1
     return int(np.argmax(sims))  # first max == smallest row-major index

@@ -1,4 +1,4 @@
-"""Angular-error metric, evaluation harness, ablation rules, K-sweep."""
+"""Angular-error metric, evaluation harness, ablation rules, K-sweep output."""
 
 import json
 from dataclasses import dataclass, field, asdict
@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import ContractError, LeakageError
 from .model import WEIGHTING_RULES, ablation, detach, predict_direction
-from .retrieval import TaskSynonymTable, cosine_topk, filter_by_task
+from .retrieval import retrieve
 
 DEGENERATE_ERROR_DEG = 180.0
 
@@ -41,9 +41,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self):
-        payload = asdict(self)
-        payload["records"] = [asdict(r) for r in self.records]
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -55,13 +53,14 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
     """Per-query retrieval + direction prediction + MAE.
 
     Raises LeakageError if any test scene id appears in the memory, and
-    ContractError if k < 0. Degenerate (near-zero raw) predictions score
+    ContractError if there are no test scenes or k < 0. Degenerate (near-zero raw) predictions score
     180 degrees.
     """
     ablation(weighting)
     if k < 0:
         raise ContractError(f"k must be >= 0, got {k}")
-    synonyms = synonyms or TaskSynonymTable()
+    if not test_scenes:
+        raise ContractError("no test scenes to evaluate")
     memory_ids = {e.source_id for e in memory.entries if e.source_id}
     leaked = memory_ids & {s.scene_id for s in test_scenes}
     if leaked:
@@ -71,12 +70,7 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
     params = detach(params)
     records = []
     for scene in sorted(test_scenes, key=lambda s: s.scene_id):
-        refs = []
-        if k > 0:
-            subset = filter_by_task(memory, scene.task, synonyms)
-            result = cosine_topk(scene.embedding, memory, subset, k=k)
-            refs = [(e.image, e.affordance.direction, s)
-                    for _, e, s in result.entries]
+        refs = retrieve(memory, scene, k, synonyms).refs
         _, unit = predict_direction(params, cfg, scene.image, refs,
                                     weighting=weighting)
         if unit is None:
@@ -98,20 +92,6 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
         metadata=dict(metadata or {}, k=k, weighting=weighting,
                       n_queries=len(records)))
     return report
-
-
-def k_sweep(models, test_scenes, memory, synonyms=None, weighting="full"):
-    """MAE per K for a family of (K -> (params, cfg)) trained models.
-
-    Returns rows of (k, overall MAE); plot-ready via save_sweep.
-    """
-    rows = []
-    for k in sorted(models):
-        params, cfg = models[k]
-        report = evaluate(params, cfg, test_scenes, memory, k,
-                          synonyms=synonyms, weighting=weighting)
-        rows.append((k, report.overall))
-    return rows
 
 
 def save_sweep(rows, path):

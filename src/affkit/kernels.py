@@ -1,4 +1,4 @@
-"""In-place numpy kernels for the attention softmax and GELU.
+"""Numpy kernels: the in-place attention softmax and GELU, and row cosines.
 
 The attention softmax and GELU passes dominate training time once the
 matmuls hit BLAS, so each runs in place or keeps the work its backward
@@ -61,3 +61,14 @@ def gelu_grad(g, x, erf1):
     out += 0.5 * erf1
     out *= g
     return out
+
+
+def cosine_rows(rows, q):
+    """Cosine of each row of `rows` with `q`; -inf where either norm is 0."""
+    norms = np.linalg.norm(rows, axis=1)
+    qn = np.linalg.norm(q)
+    sims = np.full(rows.shape[0], -np.inf)
+    ok = norms > 0
+    if qn > 0:
+        sims[ok] = rows[ok] @ q / (norms[ok] * qn)
+    return sims

@@ -15,8 +15,13 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ContractError("focal lengths must be positive")
+        # Written so that a NaN fails too.
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ContractError(f"focal lengths must be positive and finite, "
+                                f"got {self.fx!r} and {self.fy!r}")
+        if not (abs(self.cx) < np.inf and abs(self.cy) < np.inf):
+            raise ContractError(f"principal point must be finite, got "
+                                f"({self.cx!r}, {self.cy!r})")
 
 
 @dataclass(frozen=True)

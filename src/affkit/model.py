@@ -367,7 +367,11 @@ def load_checkpoint(path):
                 or rec.get("shape", list) != list(params[name].shape)):
             raise ParseError(f"unexpected or repeated parameter {name!r}",
                              line=rec.line)
-        params[name].data = rec.array("data", params[name].shape)
+        data = rec.array("data", params[name].shape)
+        if not np.isfinite(data).all():
+            raise ParseError(f"parameter {name!r} holds a non-finite value",
+                             line=rec.line)
+        params[name].data = data
         loaded.add(name)
     if loaded != set(params):
         raise SchemaError(f"checkpoint lacks {sorted(set(params) - loaded)}")

@@ -1,10 +1,11 @@
-"""Two-stage retrieval: task filtering, then cosine top-K."""
+"""Two-stage retrieval: task filtering, then cosine top-K (`retrieve`)."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, SchemaError
+from .kernels import cosine_rows
 from .memory import normalize_task
 
 
@@ -55,6 +56,11 @@ class RetrievalResult:
     def similarities(self):
         return [s for _, _, s in self.entries]
 
+    @property
+    def refs(self):
+        """(image, direction, similarity) per entry, as predict_direction takes."""
+        return [(e.image, e.affordance.direction, s) for _, e, s in self.entries]
+
 
 def filter_by_task(memory, task, synonyms=None):
     """Indices of memory entries whose task lies in the synonym group of `task`."""
@@ -72,8 +78,6 @@ def cosine_topk(query_embedding, memory, subset, k, exclude=None):
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     q = np.asarray(query_embedding, dtype=np.float64)
-    qn = np.linalg.norm(q)
-
     candidates = [i for i in subset
                   if exclude is None or memory.entries[i].source_id != exclude]
     if not candidates:
@@ -84,14 +88,17 @@ def cosine_topk(query_embedding, memory, subset, k, exclude=None):
         raise SchemaError(
             f"embedding dim mismatch: query {q.shape[0]}, memory {embs.shape[1]}")
 
-    norms = np.linalg.norm(embs, axis=1)
-    sims = np.full(len(candidates), -np.inf)
-    ok = norms > 0
-    if qn > 0:
-        sims[ok] = embs[ok] @ q / (norms[ok] * qn)
-
+    sims = cosine_rows(embs, q)
     # Sort by (similarity desc, memory index asc); drop unreachable entries.
     order = sorted(range(len(candidates)), key=lambda j: (-sims[j], candidates[j]))
     picked = [(candidates[j], memory.entries[candidates[j]], float(sims[j]))
               for j in order if np.isfinite(sims[j])][:k]
     return RetrievalResult(entries=picked)
+
+
+def retrieve(memory, query, k, synonyms=None, exclude=None):
+    """Task filter, then cosine top-k, for a query Scene; k = 0 gets nothing."""
+    if k == 0:
+        return RetrievalResult()
+    subset = filter_by_task(memory, query.task, synonyms)
+    return cosine_topk(query.embedding, memory, subset, k, exclude=exclude)

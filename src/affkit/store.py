@@ -10,11 +10,10 @@ that names it.
 import base64
 import dataclasses
 import json
-from functools import partial
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import AffkitError, ParseError
 
 VERSION = 1
 # Read in 16 MB blocks. Besides fewer read calls, freeing a buffer this
@@ -118,10 +117,14 @@ class Record:
             raise ParseError(f"bad {key!r} payload: {exc}", line=self.line)
 
     def dataclass(self, key, cls):
-        """Field `key`, a dict of every field of `cls`, as a `cls`."""
+        """Field `key`, a dict of every field of `cls`, as a `cls`; any error,
+        the checks of `cls` included, is a ParseError naming the line."""
         mapping = self.get(key, dict)
         names = {f.name for f in dataclasses.fields(cls)}
         missing = sorted(names - set(mapping))
         if missing:
             raise ParseError(f"{key!r} lacks keys {missing}", line=self.line)
-        return from_dict(cls, mapping, key, partial(ParseError, line=self.line))
+        try:
+            return from_dict(cls, mapping, key, ParseError)
+        except AffkitError as exc:
+            raise ParseError(str(exc), line=self.line)

@@ -8,7 +8,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, TrainingAbort
 from .model import ablation, forward_direction, direction_loss
-from .retrieval import TaskSynonymTable, cosine_topk, filter_by_task
+from .retrieval import retrieve
 from .synthgen import hflip_image
 
 
@@ -55,7 +55,6 @@ class Episode:
     query_id: str
     ref_indices: tuple  # memory entry indices, excludes the query itself
     similarities: tuple
-    gt_direction: tuple
     flip: bool
 
 
@@ -63,13 +62,11 @@ def build_episodes(train_scenes, memory, synonyms, cfg, rng=None):
     """Per query: task-filter, cosine top-pool (self excluded), sample K
     without replacement; repeated episodes_per_query times."""
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    synonyms = synonyms or TaskSynonymTable()
     episodes = []
     for scene in train_scenes:
         if cfg.k > 0:
-            subset = filter_by_task(memory, scene.task, synonyms)
-            pool = cosine_topk(scene.embedding, memory, subset,
-                               k=cfg.candidate_pool_size, exclude=scene.scene_id)
+            pool = retrieve(memory, scene, cfg.candidate_pool_size, synonyms,
+                            exclude=scene.scene_id)
             if len(pool) == 0:
                 warnings.warn(f"query {scene.scene_id}: empty candidate pool, "
                               "skipping")
@@ -89,7 +86,6 @@ def build_episodes(train_scenes, memory, synonyms, cfg, rng=None):
                 query_id=scene.scene_id,
                 ref_indices=refs,
                 similarities=sims,
-                gt_direction=scene.direction,
                 flip=bool(rng.random() < cfg.flip_prob)))
     return episodes
 
@@ -119,10 +115,6 @@ class Adam:
             vhat = self.v[name] / b2t
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
-
 
 def _assemble_batch(batch, scenes_by_id, memory, cfg):
     queries, targets = [], []
@@ -131,7 +123,7 @@ def _assemble_batch(batch, scenes_by_id, memory, cfg):
     for ep in batch:
         scene = scenes_by_id[ep.query_id]
         img = scene.image
-        gt = ep.gt_direction
+        gt = scene.direction
         if ep.flip:
             img = hflip_image(img)
             gt = (-gt[0], gt[1])
@@ -200,7 +192,7 @@ def train(params, model_cfg, train_cfg, episodes, train_scenes, memory,
                 bad = _find_nonfinite_episode(pred, batch)
                 raise TrainingAbort(f"non-finite loss in epoch {epoch + 1} "
                                     f"(episode {bad})", episode_id=bad)
-            opt.zero_grad()
+            ad.zero_grads(params)
             ad.backward(loss)
             opt.step()
             # Free this step's tape before the next forward builds one.

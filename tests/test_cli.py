@@ -127,6 +127,32 @@ def test_train_missing_memory_exits_2(tmp_path, data_dir):
     assert result.exit_code == 2
 
 
+def _with_empty_split(tmp_path, data_dir, split):
+    """A copy of the data dir whose `split` store holds no scenes."""
+    out = tmp_path / "data"
+    out.mkdir()
+    for name in ("manifest.json", "train.jsonl", "test.jsonl", "memory.jsonl"):
+        (out / name).write_bytes((data_dir / name).read_bytes())
+    header = json.loads((data_dir / split).read_text().splitlines()[0])
+    (out / split).write_text(json.dumps(dict(header, count=0)) + "\n")
+    return out
+
+
+def _assert_typed_exit_2(result):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output
+    assert "Traceback" not in result.output
+
+
+def test_train_empty_split_exits_2(tmp_path, data_dir):
+    empty = _with_empty_split(tmp_path, data_dir, "train.jsonl")
+    cfg = _write_config(tmp_path / "run.yaml", empty)
+    _assert_typed_exit_2(RUNNER.invoke(main, [
+        "train", "--config", cfg, "--out-checkpoint",
+        str(tmp_path / "m.ckpt"), "--quiet"]))
+
+
 def test_train_unknown_config_key_exits_2(tmp_path, data_dir):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(yaml.safe_dump({"data": str(data_dir),
@@ -251,6 +277,12 @@ def test_eval_k_sweep_rows(data_dir, checkpoint, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "k\tmae_deg"
     assert [int(l.split("\t")[0]) for l in lines[1:]] == [0, 1, 2, 3, 4]
+
+
+def test_eval_empty_split_exits_2(tmp_path, data_dir, checkpoint):
+    empty = _with_empty_split(tmp_path, data_dir, "test.jsonl")
+    _assert_typed_exit_2(RUNNER.invoke(main, [
+        "eval", "--data", str(empty), "--checkpoint", str(checkpoint)]))
 
 
 def test_eval_k_sweep_checkpoint_count_mismatch(data_dir, checkpoint):

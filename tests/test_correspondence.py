@@ -8,6 +8,7 @@ from affkit import synthgen
 from affkit.correspondence import (best_match_index, reference_contact_feature,
                                    transfer_contact)
 from affkit.errors import ContractError, NoCorrespondenceError
+from affkit.kernels import cosine_rows
 
 
 # ---------------------------------------------------------------------------
@@ -125,3 +126,25 @@ def test_best_match_index_matches_brute_force():
     sims = [v @ ref / (np.linalg.norm(v) * np.linalg.norm(ref)) if v.any()
             else -np.inf for v in feats.reshape(-1, 4)]
     assert best_match_index(feats, ref) == sims.index(max(sims))
+
+
+# ---------------------------------------------------------------------------
+# cosine_rows, the kernel shared with retrieval
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cosine_rows_zero_norms_and_old_formula(seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(48 * 48, 6)) * rng.uniform(1e-3, 1e3)
+    rows[rng.choice(len(rows), size=40, replace=False)] = 0.0
+    q = rng.normal(size=6)
+    sims = cosine_rows(rows, q)
+    zero = ~rows.any(axis=1)
+    assert np.isneginf(sims[zero]).all() and np.isfinite(sims[~zero]).all()
+    assert np.isneginf(cosine_rows(rows, np.zeros(6))).all()
+    # The formula contact transfer computed before it shared this kernel.
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    old = np.full(len(rows), -np.inf)
+    ok = norms > 0
+    old[ok] = rows[ok] @ q / (norms[ok] * float(np.linalg.norm(q)))
+    assert sims.tobytes() == old.tobytes()

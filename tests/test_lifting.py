@@ -1,5 +1,7 @@
 """2D -> 3D lifting geometry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,11 @@ INTR = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0)
 def test_intrinsics_validation():
     with pytest.raises(ContractError):
         Intrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0)
+    # Non-positive or non-finite focal lengths, non-finite principal points.
+    for bad in (dict(fy=-1.0), dict(fx=np.nan), dict(fy=np.inf),
+                dict(cx=np.nan), dict(cy=-np.inf)):
+        with pytest.raises(ContractError):
+            replace(INTR, **bad)
 
 
 # ---------------------------------------------------------------------------

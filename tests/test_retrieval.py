@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from affkit.errors import ContractError, SchemaError
 from affkit.memory import Affordance2D, Memory, MemoryEntry
-from affkit.retrieval import (TaskSynonymTable, cosine_topk, filter_by_task)
+from affkit.retrieval import (TaskSynonymTable, cosine_topk, filter_by_task,
+                              retrieve)
+from affkit.synthgen import TASKS, generate_split, get_variant
 
 
 def _memory(specs):
@@ -136,3 +138,38 @@ def test_query_scale_invariance(seed, scale_factor):
     assert base.indices == scaled.indices
     np.testing.assert_allclose(base.similarities, scaled.similarities,
                                atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# retrieve
+
+
+@pytest.fixture(scope="module")
+def noisy_split():
+    return generate_split(8, 3, TASKS, seed=2, variant=get_variant("noisy"),
+                          size=16)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("synonyms", [
+    None, TaskSynonymTable(groups=[["open", "close"]])])
+def test_retrieve_equals_filter_then_topk(noisy_split, k, synonyms):
+    train, test, memory = noisy_split
+    # Train scenes are in the memory, so excluding them changes the result.
+    for scene in train + test:
+        for exclude in (None, scene.scene_id):
+            got = retrieve(memory, scene, k, synonyms, exclude=exclude)
+            if k == 0:
+                assert len(got) == 0
+                continue
+            subset = filter_by_task(memory, scene.task, synonyms)
+            want = cosine_topk(scene.embedding, memory, subset, k,
+                               exclude=exclude)
+            assert got.indices == want.indices
+            assert (np.asarray(got.similarities).tobytes()
+                    == np.asarray(want.similarities).tobytes())
+            assert len(got.refs) == len(want)
+            for (image, direction, sim), (_, e, s) in zip(got.refs,
+                                                          want.entries):
+                assert image is e.image
+                assert (direction, sim) == (e.affordance.direction, s)

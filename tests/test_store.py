@@ -145,6 +145,15 @@ def _nested(i, key, **changes):
     return edit
 
 
+def _nan_payload(i, key):
+    """Sets the first value of record i's base64 payload `key` to NaN."""
+    def edit(lines):
+        arr = np.frombuffer(base64.b64decode(lines[i][key]), dtype="<f8").copy()
+        arr[0] = np.nan
+        lines[i][key] = base64.b64encode(arr.tobytes()).decode("ascii")
+    return edit
+
+
 SEVEN_BYTES = base64.b64encode(b"\0" * 7).decode("ascii")
 NAN, INF = float("nan"), float("inf")  # json writes them as NaN, Infinity
 
@@ -194,6 +203,9 @@ SCENE_CASES = STORE_CASES + [
     ("intrinsics-missing", _drop(1, "intrinsics"), 2),
     ("intrinsics-unknown-key", _nested(1, "intrinsics", skew=0.0), 2),
     ("intrinsics-not-number", _nested(1, "intrinsics", fx="2.5"), 2),
+    ("intrinsics-nan", _nested(1, "intrinsics", fx=NAN), 2),
+    ("intrinsics-inf", _nested(1, "intrinsics", cx=INF), 2),
+    ("intrinsics-zero-fx", _nested(1, "intrinsics", fx=0.0), 2),
 ]
 CHECKPOINT_CASES = COMMON_CASES + [
     ("parameter-missing", _delete(3), None),
@@ -203,6 +215,7 @@ CHECKPOINT_CASES = COMMON_CASES + [
     ("shape-missing", _drop(3, "shape"), 4),
     ("data-missing", _drop(3, "data"), 4),
     ("payload-7-bytes", _set(3, "data", SEVEN_BYTES), 4),
+    ("parameter-nan", _nan_payload(3, "data"), 4),
     ("config-missing", _drop(0, "config"), 1),
     ("config-unknown-key", _nested(0, "config", width=3), 1),
     ("config-missing-key", _nested(0, "config", k_max=None), 1),

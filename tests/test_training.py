@@ -118,9 +118,10 @@ def _assemble(scenes, memory, flips, directions=None, flip_references=False):
     cfg = TrainConfig(k=2, candidate_pool_size=10,
                       flip_references=flip_references)
     directions = directions or [s.direction for s in scenes]
+    scenes = [replace(s, direction=d) for s, d in zip(scenes, directions)]
     batch = [Episode(s.scene_id, ref_indices=(0, 1), similarities=(0.5, 0.25),
-                     gt_direction=d, flip=f)
-             for s, d, f in zip(scenes, directions, flips)]
+                     flip=f)
+             for s, f in zip(scenes, flips)]
     return training._assemble_batch(batch, {s.scene_id: s for s in scenes},
                                     memory, cfg)
 
