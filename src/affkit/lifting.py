@@ -40,14 +40,6 @@ def backproject(pixel, depth, intr):
             float(depth))
 
 
-def project(point, intr):
-    """Pinhole projection, the inverse of backproject."""
-    x, y, z = point
-    if z <= 0:
-        raise ContractError("point behind the camera")
-    return (intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy)
-
-
 def _valid_mask(depth_map):
     return np.isfinite(depth_map) & (depth_map > 0)
 

@@ -51,8 +51,26 @@ class MemoryEntry:
 
 @dataclass
 class Memory:
+    """Entries plus the retrieval index, built once here: `embeddings` (N, d_emb),
+    `by_task` (task -> ascending np.intp entry indices) and `source_ids`."""
+
     entries: list = field(default_factory=list)
     d_emb: int = 0
+
+    def __post_init__(self):
+        by_task = {}
+        for i, e in enumerate(self.entries):
+            if np.shape(e.embedding) != (self.d_emb,):  # also not 1-D
+                raise SchemaError(f"entry {i}: embedding shape "
+                                  f"{np.shape(e.embedding)} != ({self.d_emb},)")
+            by_task.setdefault(e.task, []).append(i)
+        self.embeddings = np.array(
+            [e.embedding for e in self.entries],
+            dtype=np.float64).reshape(len(self), self.d_emb)
+        self.by_task = {t: np.array(ix, dtype=np.intp)
+                        for t, ix in by_task.items()}
+        self.source_ids = np.array([e.source_id for e in self.entries],
+                                   dtype=object)
 
     def __len__(self):
         return len(self.entries)
@@ -102,16 +120,9 @@ def build_memory(samples):
     if not samples:
         raise EmptyMemoryError("no samples given")
     entries = []
-    d_emb = None
     for sample in samples:
         image, embedding, task, annotation = sample[:4]
         source_id = sample[4] if len(sample) > 4 else None
-        embedding = np.asarray(embedding, dtype=np.float64)
-        if d_emb is None:
-            d_emb = embedding.shape[0]
-        elif embedding.shape[0] != d_emb:
-            raise SchemaError(
-                f"embedding dim {embedding.shape[0]} != memory-wide {d_emb}")
         if isinstance(annotation, Affordance2D):
             aff = annotation
         else:
@@ -122,13 +133,14 @@ def build_memory(samples):
             aff = Affordance2D(contact=contact, direction=direction)
         entries.append(MemoryEntry(
             image=np.asarray(image, dtype=np.float64),
-            embedding=embedding,
+            embedding=np.asarray(embedding, dtype=np.float64),
             task=normalize_task(task),
             affordance=aff,
             source_id=source_id))
     if not entries:
         raise EmptyMemoryError("all samples had degenerate trajectories")
-    return Memory(entries=entries, d_emb=d_emb)
+    # A ragged embedding fails Memory's index check as a SchemaError.
+    return Memory(entries=entries, d_emb=entries[0].embedding.size)
 
 
 def affordance_from(rec):
@@ -163,6 +175,7 @@ def load_memory(path):
     return Memory(d_emb=d_emb, entries=[MemoryEntry(
         image=rec.array("image", (rec.get("h", int), rec.get("w", int),
                                   rec.get("c", int))),
-        embedding=rec.floats("embedding", d_emb), task=rec.get("task", str),
+        embedding=rec.floats("embedding", d_emb),
+        task=normalize_task(rec.get("task", str)),
         affordance=affordance_from(rec),
         source_id=rec.get("source_id", (str, type(None)))) for rec in records])

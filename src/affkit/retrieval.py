@@ -63,10 +63,11 @@ class RetrievalResult:
 
 
 def filter_by_task(memory, task, synonyms=None):
-    """Indices of memory entries whose task lies in the synonym group of `task`."""
+    """Ascending np.intp indices of the entries in the synonym group of `task`."""
     synonyms = synonyms or TaskSynonymTable()
-    group = synonyms.group_of(task)
-    return [i for i, e in enumerate(memory.entries) if e.task in group]
+    none = np.empty(0, dtype=np.intp)
+    return np.sort(np.concatenate([memory.by_task.get(t, none)
+                                   for t in synonyms.group_of(task)]))
 
 
 def cosine_topk(query_embedding, memory, subset, k, exclude=None):
@@ -78,22 +79,22 @@ def cosine_topk(query_embedding, memory, subset, k, exclude=None):
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     q = np.asarray(query_embedding, dtype=np.float64)
-    candidates = [i for i in subset
-                  if exclude is None or memory.entries[i].source_id != exclude]
-    if not candidates:
+    candidates = np.asarray(subset, dtype=np.intp)
+    if exclude is not None:
+        candidates = candidates[memory.source_ids[candidates] != exclude]
+    if not candidates.size:
         return RetrievalResult(entries=[])
-
-    embs = np.stack([memory.entries[i].embedding for i in candidates])
-    if embs.shape[1] != q.shape[0]:
+    if memory.d_emb != q.shape[0]:
         raise SchemaError(
-            f"embedding dim mismatch: query {q.shape[0]}, memory {embs.shape[1]}")
+            f"embedding dim mismatch: query {q.shape[0]}, memory {memory.d_emb}")
 
-    sims = cosine_rows(embs, q)
-    # Sort by (similarity desc, memory index asc); drop unreachable entries.
-    order = sorted(range(len(candidates)), key=lambda j: (-sims[j], candidates[j]))
-    picked = [(candidates[j], memory.entries[candidates[j]], float(sims[j]))
-              for j in order if np.isfinite(sims[j])][:k]
-    return RetrievalResult(entries=picked)
+    sims = cosine_rows(memory.embeddings[candidates], q)
+    # Order by (similarity desc, memory index asc); drop unreachable entries.
+    order = np.lexsort((candidates, -sims))
+    order = order[np.isfinite(sims[order])][:k]
+    return RetrievalResult(entries=[
+        (i, memory.entries[i], s)
+        for i, s in zip(candidates[order].tolist(), sims[order].tolist())])
 
 
 def retrieve(memory, query, k, synonyms=None, exclude=None):

@@ -74,12 +74,13 @@ def build_episodes(train_scenes, memory, synonyms, cfg, rng=None):
             if len(pool) < cfg.k:
                 warnings.warn(f"query {scene.scene_id}: pool of {len(pool)} "
                               f"smaller than K={cfg.k}, using the full pool")
+            ids, pool_sims = pool.indices, pool.similarities
         for _ in range(cfg.episodes_per_query):
             if cfg.k > 0:
                 n_pick = min(cfg.k, len(pool))
                 picks = sorted(rng.choice(len(pool), size=n_pick, replace=False))
-                refs = tuple(pool.indices[j] for j in picks)
-                sims = tuple(pool.similarities[j] for j in picks)
+                refs = tuple(ids[j] for j in picks)
+                sims = tuple(pool_sims[j] for j in picks)
             else:
                 refs, sims = (), ()
             episodes.append(Episode(
@@ -225,13 +226,3 @@ def save_history(history, path):
         fh.write("epoch,mean_loss\n")
         for i, loss in enumerate(history, start=1):
             fh.write(f"{i},{loss!r}\n")
-
-
-def load_history(path):
-    history = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            _, loss = line.strip().split(",")
-            history.append(float(loss))
-    return history

@@ -13,13 +13,14 @@ import pytest
 import affkit.autodiff as ad
 from affkit.correspondence import transfer_contact
 from affkit.evaluation import evaluate, mae
-from affkit.lifting import Intrinsics, backproject, lift_contact, lift_direction, project
+from affkit.lifting import Intrinsics, backproject, lift_contact, lift_direction
 from affkit.memory import save_memory
 from affkit.model import (ModelConfig, direction_loss, dual_weights,
                           forward_direction, init_model, load_checkpoint,
                           save_checkpoint)
 from affkit.synthgen import TASKS, generate_scene, generate_split, get_variant
 from affkit.training import TrainConfig, build_episodes, train
+from support import project
 
 NOISELESS = get_variant("noiseless")
 

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from affkit.cli import main
 from affkit.synthgen import load_scenes
-from affkit.training import load_history
+from support import load_history
 
 RUNNER = CliRunner()
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from affkit.errors import ContractError, GeometryError
 from affkit.lifting import (Affordance3D, Intrinsics, _ray_plane, backproject,
-                            lift_affordance, lift_contact, lift_direction,
-                            project)
+                            lift_affordance, lift_contact, lift_direction)
 from affkit.memory import Affordance2D
+from support import project
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0)
 

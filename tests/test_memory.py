@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from affkit.errors import (ContractError, EmptyMemoryError, ParseError,
                            SchemaError)
-from affkit.memory import (INVALID, Affordance2D, Memory, build_memory,
-                           load_memory, normalize_task, reduce_trajectory,
-                           save_memory)
+from affkit.memory import (INVALID, Affordance2D, Memory, MemoryEntry,
+                           build_memory, load_memory, normalize_task,
+                           reduce_trajectory, save_memory)
+from affkit.retrieval import cosine_topk, filter_by_task
 
 
 def _img(seed=0, shape=(4, 4, 2)):
@@ -154,6 +155,24 @@ def test_build_mixed_embedding_dims_raises():
                                      Affordance2D((0, 0), (1.0, 0.0)))])
 
 
+@pytest.mark.parametrize("embedding", [np.ones((1, 3)), np.ones(2)],
+                         ids=["not-1d", "wrong-length"])
+def test_ragged_memory_rejected(embedding):
+    entries = [MemoryEntry(image=_img(i), embedding=e, task="open",
+                           affordance=Affordance2D((0.0, 0.0), (1.0, 0.0)))
+               for i, e in enumerate([np.ones(3), embedding])]
+    with pytest.raises(SchemaError):
+        Memory(entries=entries, d_emb=3)
+
+
+def test_empty_memory_retrieves_nothing():
+    memory = Memory(entries=[], d_emb=3)
+    assert memory.embeddings.shape == (0, 3)
+    subset = filter_by_task(memory, "open")
+    assert subset.tolist() == []
+    assert len(cosine_topk(np.ones(3), memory, subset, k=2)) == 0
+
+
 @given(st.integers(0, 1000), st.integers(1, 8))
 @settings(max_examples=25, deadline=None)
 def test_build_filtering_monotone(seed, n):
@@ -208,6 +227,16 @@ def test_empty_store_roundtrip(tmp_path):
     save_memory(Memory(entries=[], d_emb=3), path)
     loaded = load_memory(path)
     assert len(loaded) == 0 and loaded.d_emb == 3
+
+
+def test_loaded_task_label_is_normalised(tmp_path):
+    path = tmp_path / "mem.jsonl"
+    save_memory(build_memory(_samples(2, "open drawer")), path)
+    path.write_text(path.read_text().replace('"open drawer"',
+                                             '"Open  Drawer"'))
+    loaded = load_memory(path)
+    assert [e.task for e in loaded.entries] == ["open drawer"] * 2
+    assert filter_by_task(loaded, "open drawer").tolist() == [0, 1]
 
 
 def test_truncated_file_is_parse_error(tmp_path):

@@ -1,10 +1,14 @@
 """Task filtering and cosine top-K retrieval."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import affkit.retrieval as retrieval
 from affkit.errors import ContractError, SchemaError
+from affkit.kernels import cosine_rows
 from affkit.memory import Affordance2D, Memory, MemoryEntry
 from affkit.retrieval import (TaskSynonymTable, cosine_topk, filter_by_task,
                               retrieve)
@@ -44,19 +48,19 @@ def test_overlapping_groups_rejected():
 
 def test_filter_verbatim():
     m = _memory([("open", [1, 0]), ("close", [0, 1]), ("open", [1, 1])])
-    assert filter_by_task(m, "open") == [0, 2]
+    assert filter_by_task(m, "open").tolist() == [0, 2]
 
 
 def test_filter_synonym_union():
     m = _memory([("open drawer", [1, 0]), ("open microwave", [0, 1]),
                  ("close drawer", [1, 1])])
     syn = TaskSynonymTable(groups=[{"open drawer", "open microwave"}])
-    assert filter_by_task(m, "open drawer", syn) == [0, 1]
+    assert filter_by_task(m, "open drawer", syn).tolist() == [0, 1]
 
 
 def test_filter_unknown_task_empty():
     m = _memory([("open", [1, 0])])
-    assert filter_by_task(m, "juggle") == []
+    assert filter_by_task(m, "juggle").tolist() == []
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +177,69 @@ def test_retrieve_equals_filter_then_topk(noisy_split, k, synonyms):
                                                           want.entries):
                 assert image is e.image
                 assert (direction, sim) == (e.affordance.direction, s)
+
+
+def test_retrieve_calls_module_filter_and_topk(noisy_split, monkeypatch):
+    # perfbench times these two module globals and counts len(subset).
+    _, test, memory = noisy_split
+    calls = []
+    real_filter, real_topk = filter_by_task, cosine_topk
+
+    def spy_filter(*args, **kwargs):
+        calls.append("filter_by_task")
+        return real_filter(*args, **kwargs)
+
+    def spy_topk(query_embedding, memory, subset, k, exclude=None):
+        calls.append(("cosine_topk", len(subset)))
+        return real_topk(query_embedding, memory, subset, k, exclude=exclude)
+
+    monkeypatch.setattr(retrieval, "filter_by_task", spy_filter)
+    monkeypatch.setattr(retrieval, "cosine_topk", spy_topk)
+    got = retrieve(memory, test[0], 3)
+    n = len(real_filter(memory, test[0].task))
+    assert calls == ["filter_by_task", ("cosine_topk", n)]
+    assert len(got) == 3
+
+
+def _sorted_reference(q, memory, subset, k, exclude=None):
+    """The ranking the index replaced: stack the candidate embeddings per
+    query, score them, and sort (similarity desc, memory index asc)."""
+    candidates = [i for i in subset
+                  if exclude is None or memory.entries[i].source_id != exclude]
+    if not candidates:
+        return [], []
+    embs = np.stack([memory.entries[i].embedding for i in candidates])
+    sims = cosine_rows(embs, np.asarray(q, dtype=np.float64))
+    order = sorted(range(len(candidates)), key=lambda j: (-sims[j], candidates[j]))
+    picked = [(candidates[j], float(sims[j]))
+              for j in order if np.isfinite(sims[j])][:k]
+    return [i for i, _ in picked], [s for _, s in picked]
+
+
+def test_cosine_topk_matches_sorted_reference(noisy_split):
+    train, test, memory = noisy_split
+    # Duplicate embeddings (ties break on index) and zero-norm entries.
+    extra = [replace(e, source_id=f"dup-{i}")
+             for i, e in enumerate(memory.entries[::3])]
+    extra += [replace(e, embedding=np.zeros(memory.d_emb),
+                      source_id=f"zero-{i}")
+              for i, e in enumerate(memory.entries[1::5])]
+    memory = Memory(entries=memory.entries + extra, d_emb=memory.d_emb)
+    n = len(memory)
+    rng = np.random.default_rng(0)
+    queries = [(s.embedding, s.task, s.scene_id) for s in train + test]
+    queries.append((np.zeros(memory.d_emb), train[0].task, None))
+    checked = 0
+    for q, task, sid in queries:
+        subsets = [filter_by_task(memory, task), list(range(n)),
+                   rng.permutation(n).tolist()]
+        for subset in subsets:
+            for k in (1, 3, n + 5):
+                for exclude in (None, sid):
+                    got = cosine_topk(q, memory, subset, k, exclude=exclude)
+                    ids, sims = _sorted_reference(q, memory, subset, k, exclude)
+                    assert got.indices == ids
+                    assert (np.asarray(got.similarities).tobytes()
+                            == np.asarray(sims).tobytes())
+                    checked += len(ids)
+    assert checked > 0

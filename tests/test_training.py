@@ -10,7 +10,8 @@ from affkit.errors import ConfigError, TrainingAbort
 from affkit.model import ModelConfig, init_model
 from affkit.synthgen import generate_split, get_variant, hflip_image, TASKS
 from affkit.training import (Episode, TrainConfig, build_episodes,
-                             load_history, save_history, train)
+                             save_history, train)
+from support import load_history
 
 TINY_MODEL = ModelConfig(d=8, patch_size=4, image_h=16, image_w=16, channels=4,
                          n_layers=1, n_heads=2, d_ff=16, film_hidden=8,
