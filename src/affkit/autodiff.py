@@ -10,9 +10,10 @@ import itertools
 import numpy as np
 
 from . import kernels
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError
 
 _counter = itertools.count()
+LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
@@ -31,9 +32,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -187,17 +185,6 @@ def matmul(a, b):
     return _make(out, (a, b), grad_fn)
 
 
-def transpose(a, axes):
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def grad_fn(g):
-        return (np.transpose(g, inv),)
-
-    return _make(np.transpose(a.data, axes), (a,), grad_fn)
-
-
 def reshape(a, shape):
     a = _as_tensor(a)
     orig = a.shape
@@ -247,26 +234,14 @@ def sum_(a, axis=None, keepdims=False):
     return _make(out, (a,), grad_fn)
 
 
-def mean(a, axis, keepdims=False):
+def mean(a, axis):
     a = _as_tensor(a)
     n = a.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+    out = a.data.mean(axis=axis)
 
     def grad_fn(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
+        g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / n, a.shape).copy(),)
-
-    return _make(out, (a,), grad_fn)
-
-
-def softmax(a):
-    """Numerically stable softmax along the last axis."""
-    a = _as_tensor(a)
-    out = kernels.softmax_rows(a.data.copy())
-
-    def grad_fn(g):
-        return (kernels.softmax_rows_grad(g.copy(), out),)
 
     return _make(out, (a,), grad_fn)
 
@@ -335,7 +310,7 @@ def attention(q, k, v, n_heads, bias=None):
     return _make(out, parents, grad_fn)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize over the last axis, then apply the affine (gain, bias)."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
@@ -344,7 +319,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
             f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     out = xhat * gain.data + bias.data
 
@@ -359,7 +334,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# backward pass and gradient checking
+# backward pass
 
 
 def backward(loss):
@@ -408,43 +383,4 @@ def backward(loss):
 
 def zero_grads(params):
     for p in params.values():
-        p.zero_grad()
-
-
-def finite_diff_check(fn, params, h=1e-5, samples_per_param=5, rng=None):
-    """Max relative error between analytic and central-difference gradients.
-
-    `fn` rebuilds the scalar loss from `params` (a dict of name -> Tensor);
-    it is re-evaluated with coordinates perturbed by +/- h.
-    """
-    if not 1e-6 <= h <= 1e-4:
-        raise ContractError(f"step h={h} outside [1e-6, 1e-4]")
-    rng = rng or np.random.default_rng(0)
-    loss = fn()
-    if not np.isfinite(loss.data).all():
-        raise NumericError("finite_diff_check: non-finite loss")
-    zero_grads(params)
-    backward(loss)
-
-    worst = 0.0
-    for p in params.values():
-        flat = p.data.reshape(-1)
-        gflat = (p.grad if p.grad is not None
-                 else np.zeros_like(p.data)).reshape(-1)
-        n = flat.size
-        idxs = (range(n) if n <= samples_per_param
-                else rng.choice(n, size=samples_per_param, replace=False))
-        for i in idxs:
-            keep = flat[i]
-            flat[i] = keep + h
-            lo_hi = float(fn().data)
-            flat[i] = keep - h
-            lo_lo = float(fn().data)
-            flat[i] = keep
-            if not (np.isfinite(lo_hi) and np.isfinite(lo_lo)):
-                raise NumericError("finite_diff_check: non-finite perturbed loss")
-            cd = (lo_hi - lo_lo) / (2.0 * h)
-            an = gflat[i]
-            rel = abs(an - cd) / max(abs(an), abs(cd), 1e-8)
-            worst = max(worst, rel)
-    return worst
+        p.grad = None

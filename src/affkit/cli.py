@@ -17,7 +17,7 @@ import yaml
 from .errors import (AffkitError, ConfigError, GeometryError, LeakageError,
                      NoCorrespondenceError, NumericError, ParseError,
                      TrainingAbort)
-from . import evaluation, store, synthgen, training
+from . import evaluation, store, synthgen
 from .correspondence import transfer_contact
 from .lifting import lift_affordance
 from .memory import Affordance2D, load_memory, save_memory
@@ -229,6 +229,8 @@ def eval_cmd(data_dir, checkpoints, k, variant_rule, seeds, k_sweep_spec,
     synonyms = _synonyms_option(synonyms_json)
 
     if k_sweep_spec:
+        if seeds is not None:
+            raise ConfigError("--seeds does not apply to --k-sweep")
         ks = _parse_k_sweep(k_sweep_spec)
         if len(checkpoints) != len(ks):
             raise ConfigError(f"--k-sweep {k_sweep_spec} needs {len(ks)} "
@@ -246,10 +248,11 @@ def eval_cmd(data_dir, checkpoints, k, variant_rule, seeds, k_sweep_spec,
             evaluation.save_sweep(rows, out)
         return
 
-    labels = ([s.strip() for s in seeds.split(",")] if seeds
+    labels = ([s.strip() for s in seeds.split(",")] if seeds is not None
               else [str(i) for i in range(len(checkpoints))])
-    if len(labels) != len(checkpoints):
-        raise ConfigError("--seeds count must match --checkpoint count")
+    if not len(set(labels) - {""}) == len(labels) == len(checkpoints):
+        raise ConfigError("--seeds needs one distinct, non-empty label per "
+                          f"--checkpoint, got {labels}")
 
     overalls = []
     for label, ck_path in zip(labels, checkpoints):

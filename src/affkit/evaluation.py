@@ -40,12 +40,9 @@ class EvalReport:
     records: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2)
-
     def save(self, path):
         with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
+            fh.write(json.dumps(asdict(self), indent=2) + "\n")
 
 
 def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
@@ -53,8 +50,8 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
     """Per-query retrieval + direction prediction + MAE.
 
     Raises LeakageError if any test scene id appears in the memory, and
-    ContractError if there are no test scenes or k < 0. Degenerate (near-zero raw) predictions score
-    180 degrees.
+    ContractError if there are no test scenes or k < 0. Degenerate
+    (near-zero raw) predictions score 180 degrees.
     """
     ablation(weighting)
     if k < 0:
@@ -66,7 +63,8 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
     if leaked:
         raise LeakageError(f"test scenes present in memory: {sorted(leaked)[:5]}")
 
-    # Detach once here rather than once per query in predict_direction.
+    # Detach once here: predict_direction still detaches per query, but on
+    # detached parameters that returns the same Tensors, so it is cheap.
     params = detach(params)
     records = []
     for scene in sorted(test_scenes, key=lambda s: s.scene_id):

@@ -6,6 +6,9 @@ import numpy as np
 
 from .errors import ContractError, GeometryError
 
+RADIUS = 5  # Chebyshev pixel radius of the contact's depth neighbourhood
+STEP = 10.0  # pixels along the 2D direction to the second lifted ray
+
 
 @dataclass(frozen=True)
 class Intrinsics:
@@ -40,10 +43,6 @@ def backproject(pixel, depth, intr):
             float(depth))
 
 
-def _valid_mask(depth_map):
-    return np.isfinite(depth_map) & (depth_map > 0)
-
-
 def _candidates(contact, depth_map, radius):
     """Valid-depth pixels within Chebyshev `radius` of the contact pixel."""
     h, w = depth_map.shape
@@ -51,7 +50,7 @@ def _candidates(contact, depth_map, radius):
     cy = int(round(contact[1]))
     x0, x1 = max(cx - radius, 0), min(cx + radius, w - 1)
     y0, y1 = max(cy - radius, 0), min(cy + radius, h - 1)
-    valid = _valid_mask(depth_map)
+    valid = np.isfinite(depth_map) & (depth_map > 0)
     out = []
     for y in range(y0, y1 + 1):
         for x in range(x0, x1 + 1):
@@ -60,7 +59,7 @@ def _candidates(contact, depth_map, radius):
     return out
 
 
-def lift_contact(contact, depth_map, intr, radius=5):
+def lift_contact(contact, depth_map, intr, radius=RADIUS):
     """Backproject the nearest valid surface pixel around the 2D contact.
 
     Nearest by pixel-space distance to the (real-valued) contact; ties by
@@ -101,12 +100,12 @@ def _ray_plane(pixel, intr, normal, offset):
 
 
 def lift_direction(direction2d, contact3d, contact2d, depth_map, intr,
-                   step=10.0, radius=5):
+                   radius=RADIUS):
     """Lift a unit 2D direction onto the local surface plane.
 
     Fits a plane to the backprojected valid neighborhood of the contact
     (fronto-parallel fallback below 3 points), intersects the camera rays
-    of the contact and of contact + step * direction with it, and returns
+    of the contact and of contact + STEP * direction with it, and returns
     the normalized difference.
     """
     a = np.asarray(direction2d, dtype=np.float64)
@@ -122,7 +121,7 @@ def lift_direction(direction2d, contact3d, contact2d, depth_map, intr,
         normal, offset = np.array([0.0, 0.0, 1.0]), float(contact3d[2])
 
     p0 = _ray_plane(contact2d, intr, normal, offset)
-    p1 = _ray_plane((contact2d[0] + step * a[0], contact2d[1] + step * a[1]),
+    p1 = _ray_plane((contact2d[0] + STEP * a[0], contact2d[1] + STEP * a[1]),
                     intr, normal, offset)
     tau = p1 - p0
     norm = np.linalg.norm(tau)
@@ -131,9 +130,9 @@ def lift_direction(direction2d, contact3d, contact2d, depth_map, intr,
     return tuple(tau / norm)
 
 
-def lift_affordance(affordance2d, depth_map, intr, radius=5, step=10.0):
+def lift_affordance(affordance2d, depth_map, intr):
     """Full 2D -> 3D lift; the hand-off point to any execution stack."""
-    c3d = lift_contact(affordance2d.contact, depth_map, intr, radius=radius)
+    c3d = lift_contact(affordance2d.contact, depth_map, intr)
     tau = lift_direction(affordance2d.direction, c3d, affordance2d.contact,
-                         depth_map, intr, step=step, radius=radius)
+                         depth_map, intr)
     return Affordance3D(contact=c3d, direction=tau)

@@ -52,7 +52,7 @@ class MemoryEntry:
 @dataclass
 class Memory:
     """Entries plus the retrieval index, built once here: `embeddings` (N, d_emb),
-    `by_task` (task -> ascending np.intp entry indices) and `source_ids`."""
+    `by_task` (normalised task -> ascending np.intp indices), `source_ids`."""
 
     entries: list = field(default_factory=list)
     d_emb: int = 0
@@ -63,6 +63,7 @@ class Memory:
             if np.shape(e.embedding) != (self.d_emb,):  # also not 1-D
                 raise SchemaError(f"entry {i}: embedding shape "
                                   f"{np.shape(e.embedding)} != ({self.d_emb},)")
+            e.task = normalize_task(e.task)
             by_task.setdefault(e.task, []).append(i)
         self.embeddings = np.array(
             [e.embedding for e in self.entries],
@@ -134,7 +135,7 @@ def build_memory(samples):
         entries.append(MemoryEntry(
             image=np.asarray(image, dtype=np.float64),
             embedding=np.asarray(embedding, dtype=np.float64),
-            task=normalize_task(task),
+            task=task,
             affordance=aff,
             source_id=source_id))
     if not entries:
@@ -176,6 +177,6 @@ def load_memory(path):
         image=rec.array("image", (rec.get("h", int), rec.get("w", int),
                                   rec.get("c", int))),
         embedding=rec.floats("embedding", d_emb),
-        task=normalize_task(rec.get("task", str)),
+        task=rec.get("task", str),
         affordance=affordance_from(rec),
         source_id=rec.get("source_id", (str, type(None)))) for rec in records])

@@ -21,6 +21,7 @@ from .errors import (ContractError, DimensionError, NumericError, ParseError,
 CHECKPOINT_FORMAT = "affkit-checkpoint"
 WEIGHTING_RULES = ("full", "no_gating", "no_similarity", "uniform")
 DEGENERATE_NORM = 1e-12
+WEIGHT_EPS = 1e-8
 
 
 @dataclass
@@ -141,8 +142,8 @@ def encode_patches(params, cfg, images):
 
 def film_params(params, directions):
     """Map unit action vectors (..., 2) to FiLM (gamma, beta), each (..., d)."""
-    a = directions if isinstance(directions, Tensor) else Tensor(directions)
-    hidden = ad.gelu(ad.add(ad.matmul(a, params["film.w1"]), params["film.b1"]))
+    hidden = ad.gelu(ad.add(ad.matmul(directions, params["film.w1"]),
+                            params["film.b1"]))
     out = ad.add(ad.matmul(hidden, params["film.w2"]), params["film.b2"])
     d = out.shape[-1] // 2
     gamma = ad.add(ad.narrow(out, out.data.ndim - 1, 0, d), 1.0)
@@ -169,9 +170,9 @@ def add_ref_id(params, feats):
     return ad.add(feats, ad.reshape(rows, (1, k, 1, feats.shape[-1])))
 
 
-def global_pool(feats, keepdims=False):
+def global_pool(feats):
     """Mean over the token axis (second to last)."""
-    return ad.mean(feats, axis=feats.data.ndim - 2, keepdims=keepdims)
+    return ad.mean(feats, axis=feats.data.ndim - 2)
 
 
 def gate(params, z_q, z_r):
@@ -190,10 +191,10 @@ def ablation(variant):
     return variant
 
 
-def dual_weights(sims, gates, eps=1e-8, rule="full"):
+def dual_weights(sims, gates, rule="full"):
     """Combine similarity softmax with gate values along the last axis.
 
-    full:           softmax(s)_k * w_k / (sum_j softmax(s)_j * w_j + eps)
+    full:           softmax(s)_k * w_k / (sum_j softmax(s)_j * w_j + WEIGHT_EPS)
     no_gating:      same with all w_k := 1
     no_similarity:  same with softmax(s) := 1/K
     uniform:        exactly 1/K
@@ -214,7 +215,7 @@ def dual_weights(sims, gates, eps=1e-8, rule="full"):
     if rule == "no_gating":
         gates = np.ones(s.shape)
     numer = ad.mul(gates, Tensor(coef))
-    denom = ad.add(ad.sum_(numer, axis=-1, keepdims=True), eps)
+    denom = ad.add(ad.sum_(numer, axis=-1, keepdims=True), WEIGHT_EPS)
     return ad.div(numer, denom)
 
 
@@ -282,7 +283,7 @@ def forward_direction(params, cfg, query_images, ref_images=None, ref_dirs=None,
             raise ContractError("reference action vectors must be unit norm")
 
         f_r = encode_patches(params, cfg, ref_images)
-        gamma, beta = film_params(params, Tensor(ref_dirs))
+        gamma, beta = film_params(params, ref_dirs)
         f_r = film_modulate(f_r, gamma, beta)
         f_r = add_ref_id(params, f_r)
 

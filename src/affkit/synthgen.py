@@ -9,7 +9,7 @@ motion orientation from the object pose, so direction information is
 recoverable only through retrieved references.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

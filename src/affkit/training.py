@@ -11,6 +11,8 @@ from .model import ablation, forward_direction, direction_loss
 from .retrieval import retrieve
 from .synthgen import hflip_image
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -58,10 +60,10 @@ class Episode:
     flip: bool
 
 
-def build_episodes(train_scenes, memory, synonyms, cfg, rng=None):
+def build_episodes(train_scenes, memory, synonyms, cfg):
     """Per query: task-filter, cosine top-pool (self excluded), sample K
     without replacement; repeated episodes_per_query times."""
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     episodes = []
     for scene in train_scenes:
         if cfg.k > 0:
@@ -92,29 +94,28 @@ def build_episodes(train_scenes, memory, synonyms, cfg, rng=None):
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999)."""
+    """Adam with bias correction (BETA1, BETA2, ADAM_EPS)."""
 
-    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=3e-4):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self):
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
             mhat = self.m[name] / b1t
             vhat = self.v[name] / b2t
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def _assemble_batch(batch, scenes_by_id, memory, cfg):

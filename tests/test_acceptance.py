@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-import affkit.autodiff as ad
 from affkit.correspondence import transfer_contact
 from affkit.evaluation import evaluate, mae
 from affkit.lifting import Intrinsics, backproject, lift_contact, lift_direction
@@ -20,7 +19,7 @@ from affkit.model import (ModelConfig, direction_loss, dual_weights,
                           save_checkpoint)
 from affkit.synthgen import TASKS, generate_scene, generate_split, get_variant
 from affkit.training import TrainConfig, build_episodes, train
-from support import project
+from support import finite_diff_check, project
 
 NOISELESS = get_variant("noiseless")
 
@@ -75,7 +74,7 @@ def test_criterion_01_gradient_fidelity():
             return direction_loss(pred, gt)
 
         n_coords = sum(min(p.data.size, 2) for p in params.values())
-        worst = max(worst, ad.finite_diff_check(
+        worst = max(worst, finite_diff_check(
             fn, params, samples_per_param=2, rng=np.random.default_rng(seed)))
     elapsed = time.time() - t0
     assert n_coords >= 50

@@ -10,6 +10,7 @@ import affkit.autodiff as ad
 import affkit.kernels as kernels
 from affkit.autodiff import Tensor
 from affkit.errors import ContractError, DimensionError, NumericError
+from support import finite_diff_check, softmax, transpose
 
 
 def _param(arr):
@@ -62,7 +63,7 @@ def test_batched_matmul_gradcheck():
     def fn():
         return ad.sum_(ad.sigmoid(ad.matmul(params["a"], params["b"])))
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=8) < 1e-6
+    assert finite_diff_check(fn, params, samples_per_param=8) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_elementwise_broadcast_gradcheck(op):
     def fn():
         return ad.sum_(op(params["a"], params["b"]))
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=6) < 1e-6
+    assert finite_diff_check(fn, params, samples_per_param=6) < 1e-6
 
 
 @pytest.mark.parametrize("op", [ad.sigmoid, ad.gelu])
@@ -107,7 +108,7 @@ def test_unary_gradcheck(op):
     def fn():
         return ad.sum_(op(params["x"]))
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=10) < 1e-6
+    assert finite_diff_check(fn, params, samples_per_param=10) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -115,43 +116,43 @@ def test_unary_gradcheck(op):
 
 
 def test_softmax_symmetry():
-    np.testing.assert_allclose(ad.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+    np.testing.assert_allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
 
 
 def test_softmax_shift_invariance():
     # Dyadic shifts keep x + c exact, so invariance holds bitwise.
     for c in (-64.0, 0.5, 1024.0):
         np.testing.assert_array_equal(
-            ad.softmax(Tensor([c, c + 1.75])).data,
-            ad.softmax(Tensor([0.0, 1.75])).data)
+            softmax(Tensor([c, c + 1.75])).data,
+            softmax(Tensor([0.0, 1.75])).data)
     # Non-dyadic shifts are exact up to one rounding of the inputs.
-    np.testing.assert_allclose(ad.softmax(Tensor([0.3, 0.3 + 1.7])).data,
-                               ad.softmax(Tensor([0.0, 1.7])).data, rtol=1e-12)
+    np.testing.assert_allclose(softmax(Tensor([0.3, 0.3 + 1.7])).data,
+                               softmax(Tensor([0.0, 1.7])).data, rtol=1e-12)
 
 
 def test_softmax_hand_computation():
     # Independent oracle: direct exp/sum at a shifted origin.
     ex = [math.exp(v - 3.0) for v in (1.0, 2.0, 3.0)]
     expected = np.array(ex) / sum(ex)
-    np.testing.assert_allclose(ad.softmax(Tensor([1.0, 2.0, 3.0])).data,
+    np.testing.assert_allclose(softmax(Tensor([1.0, 2.0, 3.0])).data,
                                expected, atol=1e-12)
     np.testing.assert_allclose(expected, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
 
 def test_softmax_nan_raises():
     with pytest.raises(NumericError):
-        ad.softmax(Tensor([0.0, np.nan]))
+        softmax(Tensor([0.0, np.nan]))
 
 
 def test_softmax_huge_inputs_stable():
-    out = ad.softmax(Tensor([1e4, 1e4 + 1.0])).data
+    out = softmax(Tensor([1e4, 1e4 + 1.0])).data
     assert np.isfinite(out).all() and abs(out.sum() - 1.0) < 1e-12
 
 
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_softmax_rows_sum_to_one(values):
-    out = ad.softmax(Tensor(values)).data
+    out = softmax(Tensor(values)).data
     assert (out >= 0).all()
     assert abs(out.sum() - 1.0) < 1e-12
 
@@ -165,10 +166,10 @@ def test_softmax_gradcheck(axis):
     perm = (1, 0) if axis == 0 else (0, 1)
 
     def fn():
-        out = ad.transpose(ad.softmax(ad.transpose(params["x"], perm)), perm)
+        out = transpose(softmax(transpose(params["x"], perm)), perm)
         return ad.sum_(ad.mul(out, Tensor(probe)))
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=8) < 1e-6
+    assert finite_diff_check(fn, params, samples_per_param=8) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ def test_layer_norm_gradcheck():
         out = ad.layer_norm(params["x"], params["g"], params["b"])
         return ad.sum_(ad.mul(out, Tensor(probe)))
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=8) < 1e-6
+    assert finite_diff_check(fn, params, samples_per_param=8) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +221,13 @@ def test_shape_ops_gradcheck():
               "y": _param(rng.normal(size=(2, 1, 4)))}
 
     def fn():
-        t = ad.transpose(params["x"], (1, 0, 2))
+        t = transpose(params["x"], (1, 0, 2))
         t = ad.reshape(t, (3, 8))
         c = ad.concat([params["x"], params["y"]], axis=1)
         n = ad.narrow(c, 1, 1, 2)
         return ad.add(ad.sum_(ad.gelu(t)), ad.sum_(ad.mul(n, n)))
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=8) < 1e-6
+    assert finite_diff_check(fn, params, samples_per_param=8) < 1e-6
 
 
 def test_mean_matches_sum():
@@ -280,7 +281,7 @@ def test_backward_bitwise_deterministic():
 
     def run():
         ad.zero_grads(params)
-        out = ad.softmax(ad.matmul(params["x"], params["w"]))
+        out = softmax(ad.matmul(params["x"], params["w"]))
         ad.backward(ad.sum_(ad.mul(out, out)))
         return {k: p.grad.copy() for k, p in params.items()}
 
@@ -303,7 +304,7 @@ def test_finite_diff_quadratic_form():
         x = params["x"]
         return ad.scale(ad.sum_(ad.mul(x, ad.matmul(Tensor(a), x))), 0.5)
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=5) < 1e-9
+    assert finite_diff_check(fn, params, samples_per_param=5) < 1e-9
 
 
 def test_finite_diff_zero_function():
@@ -312,7 +313,7 @@ def test_finite_diff_zero_function():
     def fn():
         return ad.sum_(ad.mul(params["x"], 0.0))
 
-    assert ad.finite_diff_check(fn, params) == 0.0
+    assert finite_diff_check(fn, params) == 0.0
 
 
 def test_finite_diff_rejects_bad_step():
@@ -320,7 +321,7 @@ def test_finite_diff_rejects_bad_step():
     fn = lambda: ad.sum_(params["x"])
     for h in (1e-7, 1e-3):
         with pytest.raises(ContractError):
-            ad.finite_diff_check(fn, params, h=h)
+            finite_diff_check(fn, params, h=h)
 
 
 def test_finite_diff_nonfinite_loss_raises():
@@ -331,7 +332,7 @@ def test_finite_diff_nonfinite_loss_raises():
 
     with np.errstate(divide="ignore"):  # log(0) -> -inf is the point here
         with pytest.raises(NumericError):
-            ad.finite_diff_check(fn, params)
+            finite_diff_check(fn, params)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +390,7 @@ def test_attention_gradcheck(with_bias):
                            bias=params.get("bias"))
         return ad.sum_(ad.mul(out, probe))
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=8) < 1e-6
+    assert finite_diff_check(fn, params, samples_per_param=8) < 1e-6
 
 
 def test_attention_nan_logit_raises():

@@ -266,6 +266,25 @@ def test_eval_aggregate_is_mean_of_seeds(data_dir, checkpoint, tmp_path):
     assert per_seed["a"] == per_seed["b"]
 
 
+@pytest.mark.parametrize("seeds", ["a,a", "a, a", "a,", ",b", ""])
+def test_eval_bad_seed_labels_exits_2(data_dir, checkpoint, tmp_path, seeds):
+    # A duplicate label would overwrite one per-seed report with the other.
+    out = tmp_path / "rep"
+    n = 1 if seeds == "" else 2
+    _assert_typed_exit_2(RUNNER.invoke(main, [
+        "eval", "--data", str(data_dir), "--seeds", seeds, "--out", str(out)]
+        + ["--checkpoint", str(checkpoint)] * n))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_seeds_with_k_sweep_exits_2(data_dir, checkpoint, tmp_path):
+    out = tmp_path / "sweep.tsv"
+    _assert_typed_exit_2(RUNNER.invoke(main, [
+        "eval", "--data", str(data_dir), "--k-sweep", "0..1", "--seeds", "a,b",
+        "--out", str(out)] + ["--checkpoint", str(checkpoint)] * 2))
+    assert not out.exists()
+
+
 def test_eval_k_sweep_rows(data_dir, checkpoint, tmp_path):
     out = tmp_path / "sweep.tsv"
     args = ["eval", "--data", str(data_dir), "--k-sweep", "0..4",

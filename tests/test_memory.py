@@ -173,6 +173,16 @@ def test_empty_memory_retrieves_nothing():
     assert len(cosine_topk(np.ones(3), memory, subset, k=2)) == 0
 
 
+def test_hand_built_task_label_is_normalised():
+    entry = MemoryEntry(image=np.zeros((2, 2, 1)), embedding=np.ones(2),
+                        task="Open  Drawer",
+                        affordance=Affordance2D((0.0, 0.0), (1.0, 0.0)))
+    memory = Memory(entries=[entry], d_emb=2)
+    assert memory.entries[0].task == "open drawer"
+    for label in ("open drawer", "Open  Drawer"):
+        assert filter_by_task(memory, label).tolist() == [0]
+
+
 @given(st.integers(0, 1000), st.integers(1, 8))
 @settings(max_examples=25, deadline=None)
 def test_build_filtering_monotone(seed, n):

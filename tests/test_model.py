@@ -13,6 +13,7 @@ from affkit.model import (ModelConfig, add_ref_id, direction_loss,
                           film_params, forward_direction, gate,
                           gated_cross_attention, global_pool, init_model,
                           load_checkpoint, predict_direction, save_checkpoint)
+from support import finite_diff_check, softmax, transpose
 
 TINY = ModelConfig(d=8, patch_size=4, image_h=8, image_w=8, channels=4,
                    n_layers=1, n_heads=2, d_ff=16, k_max=4,
@@ -228,12 +229,12 @@ def test_gate_matches_hand_forward():
 
 
 def test_dual_weights_hand_case():
-    out = dual_weights(np.array([1.0, 1.0]), np.array([0.8, 0.4]), eps=1e-8)
+    out = dual_weights(np.array([1.0, 1.0]), np.array([0.8, 0.4]))
     np.testing.assert_allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-4)
 
 
 def test_dual_weights_single_reference_close_to_one():
-    out = dual_weights(np.array([0.3]), np.array([0.7]), eps=1e-8).data
+    out = dual_weights(np.array([0.3]), np.array([0.7])).data
     assert abs(out[0] - 1.0) < 1e-6
 
 
@@ -249,7 +250,7 @@ def test_dual_weights_sum_property():
     s = rng.normal(size=4)
     w = rng.uniform(0.01, 0.99, size=4)
     eps = 1e-8
-    out = dual_weights(s, w, eps=eps).data
+    out = dual_weights(s, w).data
     ex = np.exp(s - s.max())
     soft = ex / ex.sum()
     total = float((soft * w).sum())
@@ -299,7 +300,7 @@ def test_dual_weights_gate_gradcheck(rule):
         out = dual_weights(s, params["w"], rule=rule)
         return ad.sum_(ad.mul(out, Tensor(probe)))
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=6) < 1e-6
+    assert finite_diff_check(fn, params, samples_per_param=6) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +364,16 @@ def _composed_attention(q_in, kv_in, cfg, wq, wk, wv, wo, bo, logit_bias=None):
     h, dh = cfg.n_heads, cfg.d // cfg.n_heads
 
     def split_heads(x, n):
-        return ad.transpose(ad.reshape(x, (b, n, h, dh)), (0, 2, 1, 3))
+        return transpose(ad.reshape(x, (b, n, h, dh)), (0, 2, 1, 3))
 
     q = split_heads(ad.scale(ad.matmul(q_in, wq), 1.0 / np.sqrt(dh)), n_q)
     k = split_heads(ad.matmul(kv_in, wk), m)
     v = split_heads(ad.matmul(kv_in, wv), m)
-    logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+    logits = ad.matmul(q, transpose(k, (0, 1, 3, 2)))
     if logit_bias is not None:
         logits = ad.add(logits, ad.reshape(logit_bias, (b, 1, 1, m)))
-    attn = ad.softmax(logits)
-    out = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
+    attn = softmax(logits)
+    out = transpose(ad.matmul(attn, v), (0, 2, 1, 3))
     out = ad.reshape(out, (b, n_q, d))
     return ad.add(ad.matmul(out, wo), bo)
 
@@ -545,8 +546,8 @@ def test_full_model_gradcheck():
         pred = forward_direction(params, cfg, img, refs, dirs, sims)
         return direction_loss(pred, gt)
 
-    assert ad.finite_diff_check(fn, params, samples_per_param=2,
-                                rng=np.random.default_rng(0)) < 1e-4
+    assert finite_diff_check(fn, params, samples_per_param=2,
+                             rng=np.random.default_rng(0)) < 1e-4
 
 
 def test_similarity_shift_leaves_prediction_unchanged(tiny):
