@@ -7,6 +7,7 @@ leakage, 5 geometry error.
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -250,9 +251,13 @@ def eval_cmd(data_dir, checkpoints, k, variant_rule, seeds, k_sweep_spec,
 
     labels = ([s.strip() for s in seeds.split(",")] if seeds is not None
               else [str(i) for i in range(len(checkpoints))])
-    if not len(set(labels) - {""}) == len(labels) == len(checkpoints):
-        raise ConfigError("--seeds needs one distinct, non-empty label per "
-                          f"--checkpoint, got {labels}")
+    # A label becomes part of a report's file name: keep it one plain name.
+    if not (len(set(labels)) == len(labels) == len(checkpoints) and all(
+            re.fullmatch(r"[A-Za-z0-9_.-]+", s) and s.strip(".")
+            for s in labels)):
+        raise ConfigError("--seeds needs one distinct label per --checkpoint, "
+                          "made of letters, digits, '_', '-' and '.' and not "
+                          f"only dots, got {labels}")
 
     overalls = []
     for label, ck_path in zip(labels, checkpoints):

@@ -68,7 +68,6 @@ def cosine_rows(rows, q):
     norms = np.linalg.norm(rows, axis=1)
     qn = np.linalg.norm(q)
     sims = np.full(rows.shape[0], -np.inf)
-    ok = norms > 0
-    if qn > 0:
-        sims[ok] = rows[ok] @ q / (norms[ok] * qn)
+    if qn > 0:  # divide in place where the norm is nonzero: no 0/0, no copy
+        np.divide(rows @ q, norms * qn, out=sims, where=norms > 0)
     return sims

@@ -44,19 +44,19 @@ def backproject(pixel, depth, intr):
 
 
 def _candidates(contact, depth_map, radius):
-    """Valid-depth pixels within Chebyshev `radius` of the contact pixel."""
+    """Valid-depth (xs, ys, depths) within Chebyshev `radius`, row-major."""
+    if not (abs(contact[0]) < np.inf and abs(contact[1]) < np.inf):
+        raise ContractError(f"contact must be finite, got {tuple(contact)}")
     h, w = depth_map.shape
     cx = int(round(contact[0]))
     cy = int(round(contact[1]))
     x0, x1 = max(cx - radius, 0), min(cx + radius, w - 1)
     y0, y1 = max(cy - radius, 0), min(cy + radius, h - 1)
-    valid = np.isfinite(depth_map) & (depth_map > 0)
-    out = []
-    for y in range(y0, y1 + 1):
-        for x in range(x0, x1 + 1):
-            if valid[y, x]:
-                out.append((x, y))
-    return out
+    if x1 < x0 or y1 < y0:  # a negative slice stop would wrap around
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    win = depth_map[y0:y1 + 1, x0:x1 + 1]
+    ys, xs = np.nonzero(np.isfinite(win) & (win > 0))
+    return xs + x0, ys + y0, win[ys, xs]
 
 
 def lift_contact(contact, depth_map, intr, radius=RADIUS):
@@ -67,23 +67,20 @@ def lift_contact(contact, depth_map, intr, radius=RADIUS):
     """
     if radius < 0:
         raise ContractError("radius must be >= 0")
-    pts = _candidates(contact, depth_map, radius)
-    if not pts:
+    xs, ys, zs = _candidates(contact, depth_map, radius)
+    if not xs.size:
         raise GeometryError(
             f"no valid depth within radius {radius} of {tuple(contact)}")
     w = depth_map.shape[1]
-    best = min(pts, key=lambda p: (
-        (p[0] - contact[0]) ** 2 + (p[1] - contact[1]) ** 2,
-        depth_map[p[1], p[0]],
-        p[1] * w + p[0]))
-    return backproject(best, float(depth_map[best[1], best[0]]), intr)
+    dx, dy = xs - contact[0], ys - contact[1]
+    best = np.lexsort((ys * w + xs, zs, dx * dx + dy * dy))[0]
+    return backproject((int(xs[best]), int(ys[best])), float(zs[best]), intr)
 
 
 def _fit_plane(points):
     """Least-squares plane through 3D points: (unit normal, offset d), n.x = d."""
-    pts = np.asarray(points)
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
+    centroid = points.mean(axis=0)
+    centered = points - centroid
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     normal = vt[-1]
     return normal, float(normal @ centroid)
@@ -109,13 +106,17 @@ def lift_direction(direction2d, contact3d, contact2d, depth_map, intr,
     the normalized difference.
     """
     a = np.asarray(direction2d, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ContractError(f"action direction must be finite, got {a}")
     if np.linalg.norm(a) < 1e-12:
         raise ContractError("zero action direction")
     a = a / np.linalg.norm(a)
 
-    pts = _candidates(contact2d, depth_map, radius)
-    if len(pts) >= 3:
-        cloud = [backproject(p, float(depth_map[p[1], p[0]]), intr) for p in pts]
+    xs, ys, zs = _candidates(contact2d, depth_map, radius)
+    if xs.size >= 3:
+        # backproject's operations, in its order, on the whole window.
+        cloud = np.stack([(xs - intr.cx) * zs / intr.fx,
+                          (ys - intr.cy) * zs / intr.fy, zs], axis=1)
         normal, offset = _fit_plane(cloud)
     else:
         normal, offset = np.array([0.0, 0.0, 1.0]), float(contact3d[2])

@@ -1,5 +1,6 @@
 """Helpers that only the tests use: the pinhole projection that inverts
-`lifting.backproject`, the reader of `training.save_history` files, and
+`lifting.backproject`, the per-pixel loop lifting that the array lifting
+must match bit for bit, the reader of `training.save_history` files, and
 the softmax and transpose tape ops and the finite-difference gradient
 checker that the gradient tests and the composed-attention reference
 build on."""
@@ -8,7 +9,9 @@ import numpy as np
 
 from affkit import kernels
 from affkit.autodiff import _as_tensor, _make, backward, zero_grads
-from affkit.errors import ContractError, NumericError
+from affkit.errors import ContractError, GeometryError, NumericError
+from affkit.lifting import (STEP, Affordance3D, _fit_plane, _ray_plane,
+                            backproject)
 
 
 def project(point, intr):
@@ -17,6 +20,50 @@ def project(point, intr):
     if z <= 0:
         raise ContractError("point behind the camera")
     return (intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy)
+
+
+def loop_candidates(contact, depth_map, radius):
+    """Valid-depth (x, y) within Chebyshev `radius`, one pixel at a time."""
+    h, w = depth_map.shape
+    cx = int(round(contact[0]))
+    cy = int(round(contact[1]))
+    x0, x1 = max(cx - radius, 0), min(cx + radius, w - 1)
+    y0, y1 = max(cy - radius, 0), min(cy + radius, h - 1)
+    valid = np.isfinite(depth_map) & (depth_map > 0)
+    return [(x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)
+            if valid[y, x]]
+
+
+def loop_lift(contact, direction, depth_map, intr, radius):
+    """`lift_contact` then `lift_direction` at `radius`, from the pixel loop,
+    a `min` over (squared distance, depth, row-major index) and one
+    `backproject` call per neighbourhood point."""
+    pts = loop_candidates(contact, depth_map, radius)
+    if not pts:
+        raise GeometryError("no valid depth")
+    w = depth_map.shape[1]
+    best = min(pts, key=lambda p: (
+        (p[0] - contact[0]) ** 2 + (p[1] - contact[1]) ** 2,
+        depth_map[p[1], p[0]],
+        p[1] * w + p[0]))
+    c3d = backproject(best, float(depth_map[best[1], best[0]]), intr)
+
+    a = np.asarray(direction, dtype=np.float64)
+    a = a / np.linalg.norm(a)
+    if len(pts) >= 3:
+        cloud = [backproject(p, float(depth_map[p[1], p[0]]), intr)
+                 for p in pts]
+        normal, offset = _fit_plane(np.asarray(cloud))
+    else:
+        normal, offset = np.array([0.0, 0.0, 1.0]), float(c3d[2])
+    p0 = _ray_plane(contact, intr, normal, offset)
+    p1 = _ray_plane((contact[0] + STEP * a[0], contact[1] + STEP * a[1]),
+                    intr, normal, offset)
+    tau = p1 - p0
+    norm = np.linalg.norm(tau)
+    if norm < 1e-12:
+        raise GeometryError("degenerate lifted direction")
+    return Affordance3D(contact=c3d, direction=tuple(tau / norm))
 
 
 def load_history(path):

@@ -266,15 +266,29 @@ def test_eval_aggregate_is_mean_of_seeds(data_dir, checkpoint, tmp_path):
     assert per_seed["a"] == per_seed["b"]
 
 
-@pytest.mark.parametrize("seeds", ["a,a", "a, a", "a,", ",b", ""])
+@pytest.mark.parametrize("seeds", ["a,a", "a, a", "a,", ",b", "",
+                                   "x/y,z", "..,z", "., z", "a b,c"])
 def test_eval_bad_seed_labels_exits_2(data_dir, checkpoint, tmp_path, seeds):
-    # A duplicate label would overwrite one per-seed report with the other.
+    # A duplicate label would overwrite one per-seed report with the other;
+    # a label that is not one plain file name would put a report elsewhere.
     out = tmp_path / "rep"
     n = 1 if seeds == "" else 2
-    _assert_typed_exit_2(RUNNER.invoke(main, [
+    result = RUNNER.invoke(main, [
         "eval", "--data", str(data_dir), "--seeds", seeds, "--out", str(out)]
-        + ["--checkpoint", str(checkpoint)] * n))
+        + ["--checkpoint", str(checkpoint)] * n)
+    _assert_typed_exit_2(result)
+    assert "MAE" not in result.output  # rejected before any evaluation
     assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_seed_labels_name_report_files(data_dir, checkpoint, tmp_path):
+    out = tmp_path / "rep"
+    result = RUNNER.invoke(main, [
+        "eval", "--data", str(data_dir), "--k", "1", "--seeds", "s-0.a,S_1",
+        "--out", str(out)] + ["--checkpoint", str(checkpoint)] * 2)
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "rep.aggregate.json", "rep.seedS_1.json", "rep.seeds-0.a.json"]
 
 
 def test_eval_seeds_with_k_sweep_exits_2(data_dir, checkpoint, tmp_path):

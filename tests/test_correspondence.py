@@ -1,5 +1,7 @@
 """Dense-correspondence contact transfer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,3 +150,52 @@ def test_cosine_rows_zero_norms_and_old_formula(seed):
     ok = norms > 0
     old[ok] = rows[ok] @ q / (norms[ok] * float(np.linalg.norm(q)))
     assert sims.tobytes() == old.tobytes()
+
+
+def _masked_cosine(rows, q):
+    """The masked form `cosine_rows` had: it copied the nonzero rows."""
+    norms = np.linalg.norm(rows, axis=1)
+    qn = np.linalg.norm(q)
+    sims = np.full(rows.shape[0], -np.inf)
+    ok = norms > 0
+    if qn > 0:
+        sims[ok] = rows[ok] @ q / (norms[ok] * qn)
+    return sims
+
+
+def test_cosine_rows_bitwise_equals_masked_copy_without_warnings():
+    rng = np.random.default_rng(7)
+    n_emb = synthgen.N_CHANNELS + synthgen.N_ORIENT_BINS
+    cases = []
+    # Feature maps as contact transfer flattens them, with zero pixels.
+    for h, w in [(48, 48), (16, 16), (11, 13), (1, 1), (3, 1)]:
+        rows = rng.normal(size=(h * w, synthgen.N_CHANNELS))
+        rows[rng.random(h * w) < 0.3] = 0.0
+        cases.append((rows, rng.normal(size=synthgen.N_CHANNELS)))
+    # Embedding subsets as retrieval passes them.
+    for n in (1, 7, 300, 900):
+        cases.append((rng.random((n, n_emb)), rng.random(n_emb)))
+    for rows, q in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sims = cosine_rows(rows, q)
+            zero_q = cosine_rows(rows, np.zeros_like(q))
+        assert sims.tobytes() == _masked_cosine(rows, q).tobytes()
+        assert np.isneginf(sims[~rows.any(axis=1)]).all()
+        assert np.isneginf(zero_q).all()
+
+
+def test_cosine_rows_wide_rows_with_zero_rows_match_masked_copy_closely():
+    # From 8 columns on, OpenBLAS's matrix-vector product rounds the last
+    # few rows of a matrix by another path. Which rows end the matrix
+    # depends on whether zero rows were dropped first, and a cosine there
+    # may move by an ulp.
+    rng = np.random.default_rng(8)
+    for d in (8, 16, 32):
+        rows = rng.normal(size=(900, d))
+        rows[rng.random(900) < 0.3] = 0.0
+        q = rng.normal(size=d)
+        sims = cosine_rows(rows, q)
+        assert np.isneginf(sims[~rows.any(axis=1)]).all()
+        np.testing.assert_allclose(sims, _masked_cosine(rows, q), rtol=0,
+                                   atol=1e-15)

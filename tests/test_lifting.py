@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affkit.errors import ContractError, GeometryError
-from affkit.lifting import (Affordance3D, Intrinsics, _ray_plane, backproject,
-                            lift_affordance, lift_contact, lift_direction)
+from affkit.lifting import (RADIUS, Affordance3D, Intrinsics, _ray_plane,
+                            backproject, lift_affordance, lift_contact,
+                            lift_direction)
 from affkit.memory import Affordance2D
-from support import project
+from support import loop_lift, project
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0)
 
@@ -104,6 +105,16 @@ def test_contact_ring_matches_bruteforce_oracle():
 def test_contact_radius_validation():
     with pytest.raises(ContractError):
         lift_contact((1.0, 1.0), np.ones((3, 3)), INTR, radius=-1)
+
+
+@pytest.mark.parametrize("contact", [(np.nan, 1.0), (1.0, np.nan),
+                                     (np.inf, 1.0), (1.0, -np.inf)])
+def test_nonfinite_contact_rejected(contact):
+    depth = np.ones((9, 9))
+    with pytest.raises(ContractError):
+        lift_contact(contact, depth, INTR)
+    with pytest.raises(ContractError):
+        lift_direction((1.0, 0.0), (0.0, 0.0, 1.0), contact, depth, INTR)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +228,15 @@ def test_zero_direction_rejected():
         lift_direction((0.0, 0.0), c3d, (50.0, 50.0), depth, INTR)
 
 
+@pytest.mark.parametrize("direction", [(np.nan, 0.0), (0.0, np.nan),
+                                       (np.inf, 1.0), (1.0, -np.inf)])
+def test_nonfinite_direction_rejected(direction):
+    depth = _flat_depth()
+    c3d = lift_contact((50.0, 50.0), depth, INTR)
+    with pytest.raises(ContractError):
+        lift_direction(direction, c3d, (50.0, 50.0), depth, INTR)
+
+
 def test_ray_parallel_to_plane():
     # Vertical plane with normal (1, 0, 0); the principal ray (0, 0, 1)
     # never meets it.
@@ -235,3 +255,64 @@ def test_lift_affordance_end_to_end():
     assert isinstance(out, Affordance3D)
     np.testing.assert_allclose(out.contact, (0.1, 0.0, 1.0), atol=1e-12)
     np.testing.assert_allclose(out.direction, (0.0, 1.0, 0.0), atol=1e-9)
+
+
+def _outcome(fn):
+    """A lift's (element types, float64 bytes), or the type of its error."""
+    try:
+        out = fn()
+    except (ContractError, GeometryError) as exc:
+        return type(exc)
+    values = out.contact + out.direction
+    return [type(v) for v in values], np.asarray(values).tobytes()
+
+
+def _lift(contact, direction, depth, intr, radius):
+    c3d = lift_contact(contact, depth, intr, radius=radius)
+    return Affordance3D(contact=c3d, direction=lift_direction(
+        direction, c3d, contact, depth, intr, radius=radius))
+
+
+def test_array_lifting_bitwise_equals_pixel_loop():
+    """The window-array lifting gives the per-pixel loop's bytes.
+
+    Tilted and curved surfaces with noise, some with depths rounded to
+    make ties; NaN, zero and negative holes; real-valued and integer
+    contacts, inside, straddling and wholly outside a non-square image.
+    """
+    rng = np.random.default_rng(0)
+    intr = Intrinsics(fx=40.0, fy=44.0, cx=14.5, cy=10.0)
+    h, w = 21, 29
+    us, vs = np.meshgrid(np.arange(w), np.arange(h))
+    outcomes = []
+    for scene in range(12):
+        depth = (2.0 + rng.uniform(-0.03, 0.03) * (us - 14)
+                 + rng.uniform(-0.03, 0.03) * (vs - 10)
+                 + rng.uniform(0, 2e-3) * (us - 14) ** 2
+                 + rng.normal(0, 0.01, (h, w)))
+        if scene % 3 == 0:
+            depth = np.round(depth, 1)  # plateaus: ties on depth
+        holes = rng.random((h, w))
+        depth[holes < 0.15] = np.nan
+        depth[(holes >= 0.15) & (holes < 0.3)] = 0.0
+        depth[(holes >= 0.3) & (holes < 0.35)] = -1.0
+        for _ in range(25):
+            contact = tuple(rng.uniform(-12, w + 12, 2))
+            if rng.random() < 0.5:
+                contact = tuple(int(c) for c in np.round(contact))
+            direction = rng.normal(size=2)
+            direction = tuple(direction / np.linalg.norm(direction))
+            aff = Affordance2D(contact=contact, direction=direction)
+            for radius in range(7):
+                want = _outcome(lambda: loop_lift(contact, direction, depth,
+                                                  intr, radius))
+                assert _outcome(lambda: _lift(contact, direction, depth, intr,
+                                              radius)) == want, \
+                    (scene, contact, radius)
+                if radius == RADIUS:
+                    assert _outcome(lambda: lift_affordance(
+                        aff, depth, intr)) == want, (scene, contact)
+                outcomes.append(want if isinstance(want, type) else "lifted")
+    # Both outcomes occur often: lifts, and windows with no valid depth.
+    assert outcomes.count("lifted") > 600
+    assert outcomes.count(GeometryError) > 600
