@@ -22,8 +22,8 @@ from . import evaluation, store, synthgen
 from .correspondence import transfer_contact
 from .lifting import lift_affordance
 from .memory import Affordance2D, load_memory, save_memory
-from .model import (ModelConfig, init_model, load_checkpoint,
-                    predict_direction, save_checkpoint)
+from .model import (WEIGHTING_RULES, ModelConfig, init_model,
+                    load_checkpoint, predict_direction, save_checkpoint)
 from .retrieval import TaskSynonymTable, retrieve
 from .training import TrainConfig, build_episodes, save_history, train
 
@@ -213,7 +213,7 @@ def _parse_k_sweep(spec):
                    "--k-sweep).")
 @click.option("--k", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option("--variant-rule", default="full", show_default=True,
-              type=click.Choice(evaluation.WEIGHTING_RULES))
+              type=click.Choice(WEIGHTING_RULES))
 @click.option("--seeds", default=None,
               help="Comma-separated labels matching --checkpoint order.")
 @click.option("--k-sweep", "k_sweep_spec", default=None,
@@ -295,7 +295,7 @@ def eval_cmd(data_dir, checkpoints, k, variant_rule, seeds, k_sweep_spec,
 @click.option("--memory", "memory_path", required=True, type=click.Path())
 @click.option("--k", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option("--variant-rule", default="full", show_default=True,
-              type=click.Choice(evaluation.WEIGHTING_RULES))
+              type=click.Choice(WEIGHTING_RULES))
 @click.option("--lift", "do_lift", is_flag=True)
 @click.option("--synonyms", "synonyms_json", default=None)
 @_run
@@ -318,8 +318,9 @@ def predict(checkpoint, scene_path, index, memory_path, k, variant_rule,
         contact = transfer_contact(ref_entry.image,
                                    ref_entry.affordance.contact, scene.image)
 
-    raw, unit = predict_direction(params, cfg, scene.image, top.refs[:k],
-                                  weighting=variant_rule)
+    raw, unit = predict_direction(params, cfg, scene.image,
+                                  *memory.references(top.indices[:k]),
+                                  top.similarities[:k], weighting=variant_rule)
 
     result = {"scene_id": scene.scene_id, "task": scene.task,
               "contact_px": list(contact) if contact else None,

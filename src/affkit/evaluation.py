@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ContractError, LeakageError
-from .model import WEIGHTING_RULES, ablation, detach, predict_direction
+from .model import ablation, detach, predict_direction
 from .retrieval import retrieve
 
 DEGENERATE_ERROR_DEG = 180.0
@@ -68,9 +68,10 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
     params = detach(params)
     records = []
     for scene in sorted(test_scenes, key=lambda s: s.scene_id):
-        refs = retrieve(memory, scene, k, synonyms).refs
-        _, unit = predict_direction(params, cfg, scene.image, refs,
-                                    weighting=weighting)
+        hits = retrieve(memory, scene, k, synonyms)
+        _, unit = predict_direction(params, cfg, scene.image,
+                                    *memory.references(hits.indices),
+                                    hits.similarities, weighting=weighting)
         if unit is None:
             err = DEGENERATE_ERROR_DEG
             records.append(SampleRecord(scene.scene_id, scene.task, None,

@@ -52,17 +52,23 @@ class MemoryEntry:
 @dataclass
 class Memory:
     """Entries plus the retrieval index, built once here: `embeddings` (N, d_emb),
-    `by_task` (normalised task -> ascending np.intp indices), `source_ids`."""
+    `by_task` (normalised task -> ascending np.intp indices), `source_ids`,
+    and `image_shape`, which every entry's image has ((0, 0, 0) if none)."""
 
     entries: list = field(default_factory=list)
     d_emb: int = 0
 
     def __post_init__(self):
         by_task = {}
+        self.image_shape = (np.shape(self.entries[0].image) if self.entries
+                            else (0, 0, 0))
         for i, e in enumerate(self.entries):
             if np.shape(e.embedding) != (self.d_emb,):  # also not 1-D
                 raise SchemaError(f"entry {i}: embedding shape "
                                   f"{np.shape(e.embedding)} != ({self.d_emb},)")
+            if np.shape(e.image) != self.image_shape:
+                raise SchemaError(f"entry {i}: image shape {np.shape(e.image)}"
+                                  f" != {self.image_shape} of entry 0")
             e.task = normalize_task(e.task)
             by_task.setdefault(e.task, []).append(i)
         self.embeddings = np.array(
@@ -75,6 +81,17 @@ class Memory:
 
     def __len__(self):
         return len(self.entries)
+
+    def references(self, indices):
+        """Gather the entries at an index array of shape (..., K), K >= 0:
+        float64 images (..., K, H, W, C) and directions (..., K, 2)."""
+        indices = np.asarray(indices, dtype=np.intp)
+        picked = [self.entries[i] for i in indices.ravel().tolist()]
+        images = np.array([e.image for e in picked], dtype=np.float64)
+        dirs = np.array([e.affordance.direction for e in picked],
+                        dtype=np.float64)
+        return (images.reshape(indices.shape + self.image_shape),
+                dirs.reshape(indices.shape + (2,)))
 
 
 class InvalidTrajectory:

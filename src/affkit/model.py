@@ -263,20 +263,19 @@ def _encoder_block(params, prefix, cfg, x):
     return ad.add(x, ff)
 
 
-def forward_direction(params, cfg, query_images, ref_images=None, ref_dirs=None,
-                      sims=None, weighting="full"):
+def forward_direction(params, cfg, query_images, ref_images, ref_dirs, sims,
+                      weighting="full"):
     """Raw (unnormalized) direction predictions, Tensor (B, 2).
 
-    query_images: (B, H, W, C); ref_images: (B, K, H, W, C) or None for the
-    no-retrieval path; ref_dirs: (B, K, 2) unit vectors; sims: (B, K).
+    query_images: (B, H, W, C); ref_images: (B, K, H, W, C); ref_dirs:
+    (B, K, 2) unit vectors; sims: (B, K). K = 0 is the no-retrieval path.
     """
     query_images = np.asarray(query_images, dtype=np.float64)
     b = query_images.shape[0]
     f_q = encode_patches(params, cfg, query_images)
 
-    if ref_images is not None and np.size(ref_images):
-        ref_images = np.asarray(ref_images, dtype=np.float64)
-        k = ref_images.shape[1]
+    k = np.shape(ref_images)[1]
+    if k:
         ref_dirs = np.asarray(ref_dirs, dtype=np.float64)
         norms = np.linalg.norm(ref_dirs, axis=-1)
         if not np.abs(norms - 1.0).max() <= 1e-6:  # NaN fails too
@@ -317,23 +316,18 @@ def detach(params):
             for name, p in params.items()}
 
 
-def predict_direction(params, cfg, query_image, refs=(), weighting="full"):
+def predict_direction(params, cfg, query_image, ref_images, ref_dirs, sims,
+                      weighting="full"):
     """Single-query prediction, on detached parameters (no tape is built).
 
-    refs: sequence of (image, unit direction, similarity). Returns
+    References as forward_direction's for one query, (K, ...). Returns
     (raw (2,), unit (2,) or None); unit is None when the raw norm is
     degenerate (< 1e-12), which evaluation scores as a 180-degree error.
     """
-    params = detach(params)
-    query = np.asarray(query_image, dtype=np.float64)[None]
-    if refs:
-        images = np.stack([np.asarray(r[0], dtype=np.float64) for r in refs])[None]
-        dirs = np.asarray([r[1] for r in refs], dtype=np.float64)[None]
-        sims = np.asarray([r[2] for r in refs], dtype=np.float64)[None]
-        out = forward_direction(params, cfg, query, images, dirs, sims,
-                                weighting=weighting)
-    else:
-        out = forward_direction(params, cfg, query)
+    out = forward_direction(detach(params), cfg, np.asarray(query_image)[None],
+                            np.asarray(ref_images)[None],
+                            np.asarray(ref_dirs)[None], np.asarray(sims)[None],
+                            weighting=weighting)
     raw = out.data[0].copy()
     norm = np.linalg.norm(raw)
     unit = raw / norm if norm >= DEGENERATE_NORM else None

@@ -20,6 +20,10 @@ class TaskSynonymTable:
 
     def __post_init__(self):
         try:
+            # A str group would otherwise split into one-letter labels.
+            if not all(isinstance(g, (list, tuple, set, frozenset))
+                       for g in self.groups):
+                raise TypeError
             self.groups = [frozenset(normalize_task(t) for t in g)
                            for g in self.groups]
         except (TypeError, AttributeError):  # not iterables of str
@@ -55,11 +59,6 @@ class RetrievalResult:
     @property
     def similarities(self):
         return [s for _, _, s in self.entries]
-
-    @property
-    def refs(self):
-        """(image, direction, similarity) per entry, as predict_direction takes."""
-        return [(e.image, e.affordance.direction, s) for _, e, s in self.entries]
 
 
 def filter_by_task(memory, task, synonyms=None):

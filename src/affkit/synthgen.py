@@ -30,14 +30,14 @@ MIN_SIZE = 11
 
 
 def hflip_image(image):
-    """Mirror a feature image about the vertical axis.
+    """Mirror feature images (..., H, W, C) about the vertical axis.
 
     The orientation channels store a vector field, so mirroring must also
     negate the field's x component; otherwise flipped samples contradict
     the unflipped ones (same appearance, opposite x label).
     """
-    out = image[:, ::-1, :].copy()
-    out[:, :, ORIENT_X_CHANNEL] = -out[:, :, ORIENT_X_CHANNEL]
+    out = image[..., ::-1, :].copy()
+    out[..., ORIENT_X_CHANNEL] = -out[..., ORIENT_X_CHANNEL]
     return out
 
 

@@ -119,34 +119,20 @@ class Adam:
 
 
 def _assemble_batch(batch, scenes_by_id, memory, cfg):
-    queries, targets = [], []
-    ref_imgs, ref_dirs, sims = [], [], []
-    k = len(batch[0].ref_indices)
-    for ep in batch:
-        scene = scenes_by_id[ep.query_id]
-        img = scene.image
-        gt = scene.direction
-        if ep.flip:
-            img = hflip_image(img)
-            gt = (-gt[0], gt[1])
-        queries.append(img)
-        targets.append(gt)
-        if k > 0:
-            entries = [memory.entries[i] for i in ep.ref_indices]
-            imgs = [e.image for e in entries]
-            dirs = [e.affordance.direction for e in entries]
-            if cfg.flip_references and ep.flip:
-                imgs = [hflip_image(im) for im in imgs]
-                dirs = [(-d[0], d[1]) for d in dirs]
-            ref_imgs.append(np.stack(imgs))
-            ref_dirs.append(dirs)
-            sims.append(ep.similarities)
-    queries = np.stack(queries)
-    targets = np.asarray(targets)
-    if k > 0:
-        return queries, np.stack(ref_imgs), np.asarray(ref_dirs), \
-            np.asarray(sims), targets
-    return queries, None, None, None, targets
+    """The batch's model inputs and targets; K = 0 is an empty axis."""
+    scenes = [scenes_by_id[ep.query_id] for ep in batch]
+    flips = np.array([ep.flip for ep in batch], dtype=bool)
+    queries = np.stack([s.image for s in scenes])
+    targets = np.array([s.direction for s in scenes], dtype=np.float64)
+    queries[flips] = hflip_image(queries[flips])
+    targets[flips, 0] = -targets[flips, 0]
+    ref_imgs, ref_dirs = memory.references(
+        np.array([ep.ref_indices for ep in batch], dtype=np.intp))
+    if cfg.flip_references:
+        ref_imgs[flips] = hflip_image(ref_imgs[flips])
+        ref_dirs[flips, :, 0] = -ref_dirs[flips, :, 0]
+    sims = np.array([ep.similarities for ep in batch], dtype=np.float64)
+    return queries, ref_imgs, ref_dirs, sims, targets
 
 
 def _batches(episodes, batch_size, rng):

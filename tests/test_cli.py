@@ -7,6 +7,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from affkit import store
 from affkit.cli import main
 from affkit.synthgen import load_scenes
 from support import load_history
@@ -145,6 +146,36 @@ def _assert_typed_exit_2(result):
     assert "Traceback" not in result.output
 
 
+@pytest.fixture(scope="module")
+def mixed_image_data(tmp_path_factory):
+    """A 16x16 data dir whose memory store holds one 12x12 record."""
+    out = tmp_path_factory.mktemp("mixed")
+    result = RUNNER.invoke(main, GEN_ARGS + ["--size", "16", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = (out / "memory.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record.update(h=12, w=12,
+                  image=store.encode(np.zeros((12, 12, record["c"]))))
+    lines[2] = json.dumps(record)
+    (out / "memory.jsonl").write_text("\n".join(lines) + "\n")
+    return out
+
+
+def test_train_mixed_memory_image_shapes_exits_2(tmp_path, mixed_image_data):
+    cfg = _write_config(tmp_path / "run.yaml", mixed_image_data)
+    result = RUNNER.invoke(main, ["train", "--config", cfg, "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    _assert_typed_exit_2(result)
+    assert "entry 1: image shape (12, 12, 4)" in result.output
+
+
+def test_eval_mixed_memory_image_shapes_exits_2(mixed_image_data, checkpoint):
+    result = RUNNER.invoke(main, ["eval", "--data", str(mixed_image_data),
+                                  "--checkpoint", str(checkpoint)])
+    _assert_typed_exit_2(result)
+    assert "entry 1: image shape (12, 12, 4)" in result.output
+
+
 def test_train_empty_split_exits_2(tmp_path, data_dir):
     empty = _with_empty_split(tmp_path, data_dir, "train.jsonl")
     cfg = _write_config(tmp_path / "run.yaml", empty)
@@ -175,7 +206,7 @@ def test_train_unknown_top_level_key_exits_2(tmp_path, data_dir):
 
 @pytest.mark.parametrize("section", [
     {"train": [1, 2]}, {"model": [1, 2]}, {"train": {"lr": "1e-3"}},
-    {"model": {"d": "64"}}, {"synonyms": 3}])
+    {"model": {"d": "64"}}, {"synonyms": 3}, {"synonyms": ["open", "shut"]}])
 def test_train_malformed_config_section_exits_2(tmp_path, data_dir, section):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(yaml.safe_dump({"data": str(data_dir), **section}))
@@ -327,12 +358,14 @@ def test_eval_k_sweep_checkpoint_count_mismatch(data_dir, checkpoint):
 
 @pytest.mark.parametrize("args", [
     ["--synonyms", "notjson"], ["--synonyms", "[[1]]"], ["--k-sweep", "abc"],
-    ["--k", "-1"]])
+    ["--k", "-1"], ["--synonyms", '["open", "shut"]']])
 def test_eval_malformed_option_exits_2(data_dir, checkpoint, args):
     result = RUNNER.invoke(main, ["eval", "--data", str(data_dir),
                                   "--checkpoint", str(checkpoint)] + args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output.lower()
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("manifest", ["{", '{"train": "train.jsonl"}', "[]"])
@@ -398,7 +431,8 @@ def test_predict_index_out_of_range(data_dir, checkpoint):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("args", [["--k", "-2"], ["--synonyms", "{"]])
+@pytest.mark.parametrize("args", [["--k", "-2"], ["--synonyms", "{"],
+                                  ["--synonyms", '["open", "shut"]']])
 def test_predict_malformed_option_exits_2(data_dir, checkpoint, args):
     result = RUNNER.invoke(main, ["predict", "--checkpoint", str(checkpoint),
                                   "--scene", str(data_dir / "test.jsonl"),
@@ -406,3 +440,5 @@ def test_predict_malformed_option_exits_2(data_dir, checkpoint, args):
                            + args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output.lower()
+    assert "Traceback" not in result.output

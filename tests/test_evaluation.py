@@ -95,7 +95,7 @@ def test_oracle_model_scores_zero(small_split, monkeypatch):
     gt = {s.scene_id: s.direction for s in test_scenes}
     calls = {"n": 0}
 
-    def echo(params, cfg, image, refs=(), weighting="full"):
+    def echo(params, cfg, image, ref_images, ref_dirs, sims, weighting="full"):
         calls["n"] += 1
         for s in test_scenes:
             if np.array_equal(s.image, image):

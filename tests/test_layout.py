@@ -8,7 +8,9 @@ or class of `src/affkit` must be referred to from `src/affkit` or
 `perfbench`; a method (dunders aside) is matched by attribute name, as
 `ast` does not know its receiver's type. The click command functions,
 which the `main` group reaches through their decorators, are exempt.
-Helpers that only tests need live in `tests/support.py`.
+Helpers that only tests need live in `tests/support.py`. Each name a
+module imports must be used in that module, so no module re-exports
+another's names by accident; `__init__`'s `__all__` is the one export list.
 """
 
 import ast
@@ -136,3 +138,19 @@ def test_every_definition_is_used_outside_tests():
     unused = _unused(refs, attrs)
     assert not unused, (f"neither src/affkit nor perfbench uses {unused}; "
                         "move helpers that only tests need to tests/support.py")
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in MODULES.items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            target = node.targets[0] if isinstance(node, ast.Assign) else None
+            if isinstance(target, ast.Name) and target.id == "__all__":
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{module}.{name}" for name in
+                           (a.asname or a.name.split(".")[0]
+                            for a in node.names) if name not in used]
+    assert not unused, f"imported but unused: {unused}"

@@ -165,6 +165,29 @@ def test_ragged_memory_rejected(embedding):
         Memory(entries=entries, d_emb=3)
 
 
+def test_mixed_image_shapes_rejected(tmp_path):
+    """A 12x12 entry among 16x16 ones fails typed, naming the entry, in
+    Memory itself and so in load_memory."""
+    entries = [MemoryEntry(image=_img(i, shape), embedding=np.ones(3),
+                           task="open",
+                           affordance=Affordance2D((0.0, 0.0), (1.0, 0.0)))
+               for i, shape in enumerate([(16, 16, 4), (16, 16, 4),
+                                          (12, 12, 4), (16, 16, 4)])]
+    with pytest.raises(SchemaError, match=r"entry 2: image shape "
+                       r"\(12, 12, 4\) != \(16, 16, 4\)"):
+        Memory(entries=entries, d_emb=3)
+    path = tmp_path / "m.jsonl"
+    save_memory(Memory(entries=entries[:2], d_emb=3), path)
+    lines = path.read_text().splitlines()
+    odd = Memory(entries=entries[2:3], d_emb=3)
+    save_memory(odd, tmp_path / "odd.jsonl")
+    lines += (tmp_path / "odd.jsonl").read_text().splitlines()[1:]
+    lines[0] = lines[0].replace('"count": 2', '"count": 3')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="entry 2: image shape"):
+        load_memory(path)
+
+
 def test_empty_memory_retrieves_nothing():
     memory = Memory(entries=[], d_emb=3)
     assert memory.embeddings.shape == (0, 3)

@@ -31,10 +31,13 @@ def _unit(v):
 
 
 def _refs(rng, cfg, k):
+    """One query's reference arrays: images (K, H, W, C), unit directions
+    (K, 2) and similarities (K,)."""
     images = rng.normal(size=(k, cfg.image_h, cfg.image_w, cfg.channels))
-    dirs = np.stack([_unit(rng.normal(size=2)) for _ in range(k)])
+    dirs = rng.normal(size=(k, 2))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     sims = rng.uniform(-1, 1, size=k)
-    return [(images[j], tuple(dirs[j]), float(sims[j])) for j in range(k)]
+    return images, dirs, sims
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +354,10 @@ def test_k0_leaves_query_untouched(tiny):
                  "gate.w1", "gate.b1", "gate.w2", "gate.b2",
                  "xattn.wq", "xattn.wk", "xattn.wv", "xattn.wo", "xattn.bo"):
         ablated[name].data[:] = 999.0
-    base = forward_direction(params, cfg, img).data
-    np.testing.assert_array_equal(forward_direction(ablated, cfg, img).data,
-                                  base)
+    no_refs = [a[None] for a in _refs(rng, cfg, 0)]
+    base = forward_direction(params, cfg, img, *no_refs).data
+    np.testing.assert_array_equal(
+        forward_direction(ablated, cfg, img, *no_refs).data, base)
 
 
 def _composed_attention(q_in, kv_in, cfg, wq, wk, wv, wo, bo, logit_bias=None):
@@ -414,9 +418,7 @@ def test_predict_matches_forward_and_builds_no_tape(tiny, monkeypatch):
     img = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
     refs = _refs(rng, cfg, 3)
     expected = forward_direction(
-        params, cfg, img[None], np.stack([r[0] for r in refs])[None],
-        np.asarray([r[1] for r in refs])[None],
-        np.asarray([r[2] for r in refs])[None]).data[0]
+        params, cfg, img[None], *(a[None] for a in refs)).data[0]
     outputs = []
 
     def recording(*args, **kwargs):
@@ -424,7 +426,7 @@ def test_predict_matches_forward_and_builds_no_tape(tiny, monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(model, "forward_direction", recording)
-    raw, _ = predict_direction(params, cfg, img, refs)
+    raw, _ = predict_direction(params, cfg, img, *refs)
     np.testing.assert_array_equal(raw, expected)
     assert not outputs[0].requires_grad and outputs[0]._grad_fn is None
     assert all(p.grad is None for p in params.values())
@@ -435,7 +437,7 @@ def test_predict_shape_and_unit_norm(tiny):
     rng = np.random.default_rng(14)
     raw, unit = predict_direction(
         params, cfg, rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels)),
-        _refs(rng, cfg, 3))
+        *_refs(rng, cfg, 3))
     assert raw.shape == (2,)
     assert abs(np.linalg.norm(unit) - 1.0) < 1e-12
 
@@ -445,8 +447,8 @@ def test_predict_deterministic(tiny):
     rng = np.random.default_rng(15)
     img = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
     refs = _refs(rng, cfg, 2)
-    a, _ = predict_direction(params, cfg, img, refs)
-    b, _ = predict_direction(params, cfg, img, refs)
+    a, _ = predict_direction(params, cfg, img, *refs)
+    b, _ = predict_direction(params, cfg, img, *refs)
     np.testing.assert_array_equal(a, b)
 
 
@@ -459,12 +461,12 @@ def test_predict_permutation_invariant_without_rank_ids(tiny):
     rng = np.random.default_rng(16)
     img = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
     refs = _refs(rng, cfg, 3)
-    base, _ = predict_direction(zeroed, cfg, img, refs)
+    base, _ = predict_direction(zeroed, cfg, img, *refs)
     permuted, _ = predict_direction(zeroed, cfg, img,
-                                    [refs[j] for j in (2, 0, 1)])
+                                    *(a[[2, 0, 1]] for a in refs))
     np.testing.assert_allclose(permuted, base, atol=1e-9)
     ranked, _ = predict_direction(params, cfg, img,
-                                  [refs[j] for j in (2, 0, 1)])
+                                  *(a[[2, 0, 1]] for a in refs))
     assert not np.allclose(ranked, base, atol=1e-9)
 
 
@@ -473,22 +475,21 @@ def test_predict_too_many_refs(tiny):
     rng = np.random.default_rng(17)
     img = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
     with pytest.raises(ContractError):
-        predict_direction(params, cfg, img, _refs(rng, cfg, cfg.k_max + 1))
+        predict_direction(params, cfg, img, *_refs(rng, cfg, cfg.k_max + 1))
 
 
 def test_predict_non_unit_ref_direction(tiny):
     params, cfg = tiny
     rng = np.random.default_rng(18)
     img = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
-    refs = [(rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels)),
-             (1.0, 1.0), 0.5)]
+    images = rng.normal(size=(1, cfg.image_h, cfg.image_w, cfg.channels))
     with pytest.raises(ContractError):
-        predict_direction(params, cfg, img, refs)
+        predict_direction(params, cfg, img, images, [(1.0, 1.0)], [0.5])
     for direction in ((np.nan, 0.0), (np.nan, np.nan), (np.inf, 0.0)):
-        bad = _refs(rng, cfg, 2)
-        bad[1] = (bad[1][0], direction, bad[1][2])
+        images, dirs, sims = _refs(rng, cfg, 2)
+        dirs[1] = direction
         with pytest.raises(ContractError):
-            predict_direction(params, cfg, img, bad)
+            predict_direction(params, cfg, img, images, dirs, sims)
 
 
 def test_degenerate_prediction_flagged(tiny):
@@ -500,7 +501,8 @@ def test_degenerate_prediction_flagged(tiny):
     zeroed["head.b2"].data[:] = 0.0
     rng = np.random.default_rng(19)
     raw, unit = predict_direction(
-        zeroed, cfg, rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels)))
+        zeroed, cfg, rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels)),
+        *_refs(rng, cfg, 0))
     assert unit is None and np.linalg.norm(raw) < 1e-12
 
 
@@ -555,9 +557,9 @@ def test_similarity_shift_leaves_prediction_unchanged(tiny):
     rng = np.random.default_rng(21)
     img = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
     refs = _refs(rng, cfg, 3)
-    shifted = [(im, d, s + 123.0) for im, d, s in refs]
-    base, _ = predict_direction(params, cfg, img, refs)
-    moved, _ = predict_direction(params, cfg, img, shifted)
+    images, dirs, sims = refs
+    base, _ = predict_direction(params, cfg, img, *refs)
+    moved, _ = predict_direction(params, cfg, img, images, dirs, sims + 123.0)
     np.testing.assert_allclose(moved, base, atol=1e-9)
 
 

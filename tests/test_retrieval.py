@@ -42,6 +42,12 @@ def test_overlapping_groups_rejected():
         TaskSynonymTable(groups=[{"a", "b"}, {"b", "c"}])
 
 
+@pytest.mark.parametrize("groups", [["open", "shut"], [{"open": 1}], "open"])
+def test_group_not_a_list_of_labels_rejected(groups):
+    with pytest.raises(ContractError, match="lists of task labels"):
+        TaskSynonymTable(groups=groups)
+
+
 # ---------------------------------------------------------------------------
 # filter_by_task
 
@@ -172,11 +178,36 @@ def test_retrieve_equals_filter_then_topk(noisy_split, k, synonyms):
             assert got.indices == want.indices
             assert (np.asarray(got.similarities).tobytes()
                     == np.asarray(want.similarities).tobytes())
-            assert len(got.refs) == len(want)
-            for (image, direction, sim), (_, e, s) in zip(got.refs,
-                                                          want.entries):
-                assert image is e.image
-                assert (direction, sim) == (e.affordance.direction, s)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_memory_references_gather_retrieved_entries(noisy_split, k):
+    """`Memory.references` gathers the image and direction of each index
+    of a (K,) or (B, K) array, K = 0 included, as float64 arrays."""
+    train, test, memory = noisy_split
+    h, w, c = memory.image_shape
+    rows = [retrieve(memory, scene, k).indices for scene in test]
+    rows = [r for r in rows if len(r) == k]
+    assert rows
+    for index_array in [*rows, rows]:
+        images, dirs = memory.references(index_array)
+        shape = np.shape(index_array)
+        assert images.shape == shape + (h, w, c)
+        assert dirs.shape == shape + (2,)
+        assert images.dtype == dirs.dtype == np.float64
+        for pos, i in np.ndenumerate(np.asarray(index_array, dtype=np.intp)):
+            e = memory.entries[i]
+            assert images[pos].tobytes() == e.image.tobytes()
+            assert tuple(dirs[pos]) == e.affordance.direction
+
+
+def test_empty_memory_references_are_empty():
+    memory = Memory(entries=[], d_emb=3)
+    for indices in ([], np.empty((4, 0), dtype=np.intp)):
+        images, dirs = memory.references(indices)
+        assert images.shape == np.shape(indices) + memory.image_shape
+        assert dirs.shape == np.shape(indices) + (2,)
+        assert images.dtype == dirs.dtype == np.float64
 
 
 def test_retrieve_calls_module_filter_and_topk(noisy_split, monkeypatch):

@@ -114,14 +114,16 @@ def test_empty_pool_skips_query(tiny_data):
 # horizontal flip
 
 
-def _assemble(scenes, memory, flips, directions=None, flip_references=False):
-    """`training._assemble_batch` over one two-reference episode per scene."""
-    cfg = TrainConfig(k=2, candidate_pool_size=10,
+def _assemble(scenes, memory, flips, directions=None, flip_references=False,
+              k=2):
+    """`training._assemble_batch` over one episode per scene, whose k <= 2
+    references are memory entries 0 .. k-1."""
+    cfg = TrainConfig(k=k, candidate_pool_size=10,
                       flip_references=flip_references)
     directions = directions or [s.direction for s in scenes]
     scenes = [replace(s, direction=d) for s, d in zip(scenes, directions)]
-    batch = [Episode(s.scene_id, ref_indices=(0, 1), similarities=(0.5, 0.25),
-                     flip=f)
+    batch = [Episode(s.scene_id, ref_indices=(0, 1)[:k],
+                     similarities=(0.5, 0.25)[:k], flip=f)
              for s, f in zip(scenes, flips)]
     return training._assemble_batch(batch, {s.scene_id: s for s in scenes},
                                     memory, cfg)
@@ -151,23 +153,37 @@ def test_flip_is_involution(tiny_data):
     assert tuple(targets[0]) == scene.direction
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_assemble_shapes(tiny_data, k):
+    """Every array is float64 and C-contiguous; K = 0 is an empty axis."""
+    train_scenes, _, memory = tiny_data
+    h, w, c = memory.image_shape
+    arrays = _assemble(train_scenes[:3], memory, [True, False, True],
+                       flip_references=True, k=k)
+    shapes = [(3, h, w, c), (3, k, h, w, c), (3, k, 2), (3, k), (3, 2)]
+    assert [a.shape for a in arrays] == shapes
+    for a in arrays:
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+
+
 @pytest.mark.parametrize("flip_references", [False, True])
 def test_flip_references_only_when_set(tiny_data, flip_references):
     train_scenes, _, memory = tiny_data
-    _, ref_imgs, ref_dirs, sims, _ = _assemble(
-        train_scenes[:2], memory, [True, False],
-        flip_references=flip_references)
-    np.testing.assert_array_equal(sims, [(0.5, 0.25)] * 2)
-    for j, entry in enumerate(memory.entries[:2]):
-        image, (dx, dy) = entry.image, entry.affordance.direction
-        if flip_references:
-            image, dx = hflip_image(image), -dx
-        np.testing.assert_array_equal(ref_imgs[0, j], image)
-        np.testing.assert_array_equal(ref_dirs[0, j], (dx, dy))
-        # References of an unflipped episode never flip.
-        np.testing.assert_array_equal(ref_imgs[1, j], entry.image)
-        np.testing.assert_array_equal(ref_dirs[1, j],
-                                      entry.affordance.direction)
+    for k in (0, 1, 2):
+        _, ref_imgs, ref_dirs, sims, _ = _assemble(
+            train_scenes[:2], memory, [True, False],
+            flip_references=flip_references, k=k)
+        np.testing.assert_array_equal(sims, [(0.5, 0.25)[:k]] * 2)
+        for j, entry in enumerate(memory.entries[:k]):
+            image, (dx, dy) = entry.image, entry.affordance.direction
+            if flip_references:
+                image, dx = hflip_image(image), -dx
+            np.testing.assert_array_equal(ref_imgs[0, j], image)
+            np.testing.assert_array_equal(ref_dirs[0, j], (dx, dy))
+            # References of an unflipped episode never flip.
+            np.testing.assert_array_equal(ref_imgs[1, j], entry.image)
+            np.testing.assert_array_equal(ref_dirs[1, j],
+                                          entry.affordance.direction)
 
 
 def test_flip_keeps_scene_self_consistent(tiny_data):
