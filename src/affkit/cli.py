@@ -128,33 +128,26 @@ def load_run_config(path, overrides=None):
         if value is not None:
             train_kwargs[key] = value
     model_cfg_kwargs = dict(raw.get("model") or {})
+    fixed = sorted({"image_h", "image_w", "channels"} & set(model_cfg_kwargs))
+    if fixed:
+        raise ConfigError(f"model keys {fixed} come from the data: the train "
+                          "split's images set them")
     synonyms = TaskSynonymTable(groups=raw.get("synonyms") or [])
     train_cfg = store.from_dict(TrainConfig, train_kwargs, "train", ConfigError)
     return raw["data"], model_cfg_kwargs, train_cfg, synonyms
 
 
-def _load_dataset(data_dir):
+def _load_dataset(data_dir, split):
+    """The `split` scenes and the memory of a `gen` directory."""
     manifest_path = os.path.join(data_dir, "manifest.json")
     with open(manifest_path) as fh:
         try:
             manifest = json.load(fh)
-            train, test, mem = (os.path.join(data_dir, manifest[key])
-                                for key in ("train", "test", "memory"))
+            scenes, mem = (os.path.join(data_dir, manifest[key])
+                           for key in (split, "memory"))
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{manifest_path}: bad manifest: {exc!r}")
-    train_scenes, _ = synthgen.load_scenes(train)
-    test_scenes, _ = synthgen.load_scenes(test)
-    return manifest, train_scenes, test_scenes, load_memory(mem)
-
-
-def _model_config(kwargs, scenes):
-    if not scenes:
-        raise ConfigError("the train split holds no scenes")
-    h, w, c = scenes[0].image.shape
-    kwargs.setdefault("image_h", h)
-    kwargs.setdefault("image_w", w)
-    kwargs.setdefault("channels", c)
-    return store.from_dict(ModelConfig, kwargs, "model", ConfigError)
+    return synthgen.load_scenes(scenes)[0], load_memory(mem)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +171,12 @@ def train_cmd(config_path, out_checkpoint, out_history, seed, k, lr,
     data_dir, model_kwargs, train_cfg, synonyms = load_run_config(
         config_path,
         overrides={"seed": seed, "k": k, "lr": lr, "max_epochs": max_epochs})
-    _, train_scenes, _, memory = _load_dataset(data_dir)
-    model_cfg = _model_config(model_kwargs, train_scenes)
+    train_scenes, memory = _load_dataset(data_dir, "train")
+    if not train_scenes:
+        raise ConfigError("the train split holds no scenes")
+    h, w, c = train_scenes[0].image.shape
+    model_cfg = store.from_dict(ModelConfig, dict(
+        model_kwargs, image_h=h, image_w=w, channels=c), "model", ConfigError)
     params = init_model(model_cfg, seed=train_cfg.seed)
     episodes = build_episodes(train_scenes, memory, synonyms, train_cfg)
 
@@ -226,7 +223,7 @@ def _parse_k_sweep(spec):
 def eval_cmd(data_dir, checkpoints, k, variant_rule, seeds, k_sweep_spec,
              synonyms_json, out):
     """Evaluate checkpoints; emits per-seed EvalReports plus an aggregate."""
-    _, _, test_scenes, memory = _load_dataset(data_dir)
+    test_scenes, memory = _load_dataset(data_dir, "test")
     synonyms = _synonyms_option(synonyms_json)
 
     if k_sweep_spec:

@@ -126,16 +126,20 @@ def patchify(images, patch_size):
     """
     *lead, h, wd, c = images.shape
     p = patch_size
-    if h % p or wd % p:
-        raise ContractError(f"image {h}x{wd} not divisible by patch size {p}")
     x = images.reshape(*lead, h // p, p, wd // p, p, c)
     x = np.moveaxis(x, -4, -3)
     return np.ascontiguousarray(x).reshape(*lead, (h // p) * (wd // p), p * p * c)
 
 
 def encode_patches(params, cfg, images):
-    """Shared patch encoder: project patches to d and add positions."""
-    patches = patchify(np.asarray(images, dtype=np.float64), cfg.patch_size)
+    """Shared patch encoder: project patches to d and add positions. Every
+    image enters the model here, so here its (H, W, C) must be the config's."""
+    images = np.asarray(images, dtype=np.float64)
+    shape = (cfg.image_h, cfg.image_w, cfg.channels)
+    if images.shape[-3:] != shape:
+        raise ContractError(f"images of shape {images.shape[-3:]} do not fit "
+                            f"the model's (H, W, C) {shape}")
+    patches = patchify(images, cfg.patch_size)
     tokens = ad.add(ad.matmul(Tensor(patches), params["enc.w"]), params["enc.b"])
     return ad.add(tokens, params["enc.pos"])
 
@@ -270,8 +274,7 @@ def forward_direction(params, cfg, query_images, ref_images, ref_dirs, sims,
     query_images: (B, H, W, C); ref_images: (B, K, H, W, C); ref_dirs:
     (B, K, 2) unit vectors; sims: (B, K). K = 0 is the no-retrieval path.
     """
-    query_images = np.asarray(query_images, dtype=np.float64)
-    b = query_images.shape[0]
+    b = np.shape(query_images)[0]
     f_q = encode_patches(params, cfg, query_images)
 
     k = np.shape(ref_images)[1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import store
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .lifting import Intrinsics
 from .memory import Affordance2D, affordance_from, build_memory
 
@@ -224,8 +224,16 @@ def _scene(rec):
 
 
 def load_scenes(path):
+    """(scenes, variant) of a scene store; its scenes share one image shape."""
     records = store.load(path, SCENE_FORMAT)
     header = next(records)
     header.get("count", int)  # store.load matches it against the records
     variant = header.dataclass("variant", BenchmarkVariant)
-    return [_scene(rec) for rec in records], variant
+    scenes = []
+    for rec in records:
+        scenes.append(_scene(rec))
+        if scenes[-1].image.shape != scenes[0].image.shape:
+            raise ParseError(f"image shape {scenes[-1].image.shape} != "
+                             f"{scenes[0].image.shape} of the first scene",
+                             line=rec.line)
+    return scenes, variant

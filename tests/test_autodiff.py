@@ -88,6 +88,15 @@ def test_add_incompatible_shapes():
         ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
 
+@pytest.mark.parametrize("op,a,b", [
+    (ad.sub, (3,), (4,)), (ad.mul, (2, 3), (2,)), (ad.div, (3, 1), (2, 2)),
+    (ad.matmul, (3,), (3, 2))])  # matmul needs both operands 2-D or more
+def test_shape_errors_name_both_shapes(op, a, b):
+    with pytest.raises(DimensionError) as exc:
+        op(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+    assert f"{a} and {b}" in str(exc.value)
+
+
 @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
 def test_elementwise_broadcast_gradcheck(op):
     rng = np.random.default_rng(3)

@@ -9,6 +9,8 @@ from click.testing import CliRunner
 
 from affkit import store
 from affkit.cli import main
+from affkit.model import (ModelConfig, init_model, load_checkpoint,
+                          save_checkpoint)
 from affkit.synthgen import load_scenes
 from support import load_history
 
@@ -48,6 +50,49 @@ def checkpoint(tmp_path_factory, data_dir):
                                   "--out-checkpoint", str(ck), "--quiet"])
     assert result.exit_code == 0, result.output
     return ck
+
+
+def _copy_stores(src, out, names):
+    out.mkdir(exist_ok=True)
+    for name in names:
+        (out / name).write_bytes((src / name).read_bytes())
+    return out
+
+
+@pytest.fixture(scope="module")
+def sized_data(tmp_path_factory):
+    """`gen` dirs of GEN_ARGS at 16, 20 and 32 px, keyed by size."""
+    dirs = {}
+    for size in (16, 20, 32):
+        out = tmp_path_factory.mktemp(f"px{size}")
+        result = RUNNER.invoke(main, GEN_ARGS + ["--size", str(size),
+                                                 "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        dirs[size] = out
+    return dirs
+
+
+@pytest.fixture(scope="module")
+def checkpoint_16px(tmp_path_factory):
+    cfg = ModelConfig(image_h=16, image_w=16, channels=4, **TINY_MODEL_YAML)
+    path = tmp_path_factory.mktemp("ck16") / "m.ckpt"
+    save_checkpoint(init_model(cfg), cfg, str(path))
+    return path
+
+
+@pytest.fixture(scope="module")
+def mixed_scene_data(tmp_path_factory, sized_data):
+    """A 16 px data dir whose train and test stores end in a 20 px scene."""
+    out = _copy_stores(sized_data[16], tmp_path_factory.mktemp("mixed_scenes"),
+                       ("manifest.json", "memory.jsonl"))
+    for name in ("train.jsonl", "test.jsonl"):
+        lines = (sized_data[16] / name).read_text().splitlines()
+        header = json.loads(lines[0])
+        header["count"] += 1
+        extra = (sized_data[20] / name).read_text().splitlines()[1]
+        (out / name).write_text("\n".join(
+            [json.dumps(header)] + lines[1:] + [extra]) + "\n")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +162,8 @@ def test_train_writes_checkpoint_and_history(checkpoint):
 
 
 def test_train_missing_memory_exits_2(tmp_path, data_dir):
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    for name in ("manifest.json", "train.jsonl", "test.jsonl"):
-        (broken / name).write_bytes((data_dir / name).read_bytes())
+    broken = _copy_stores(data_dir, tmp_path / "broken",
+                          ("manifest.json", "train.jsonl", "test.jsonl"))
     cfg = _write_config(tmp_path / "run.yaml", broken)
     result = RUNNER.invoke(main, ["train", "--config", cfg,
                                   "--out-checkpoint",
@@ -130,10 +173,8 @@ def test_train_missing_memory_exits_2(tmp_path, data_dir):
 
 def _with_empty_split(tmp_path, data_dir, split):
     """A copy of the data dir whose `split` store holds no scenes."""
-    out = tmp_path / "data"
-    out.mkdir()
-    for name in ("manifest.json", "train.jsonl", "test.jsonl", "memory.jsonl"):
-        (out / name).write_bytes((data_dir / name).read_bytes())
+    out = _copy_stores(data_dir, tmp_path / "data", ("manifest.json",
+                       "train.jsonl", "test.jsonl", "memory.jsonl"))
     header = json.loads((data_dir / split).read_text().splitlines()[0])
     (out / split).write_text(json.dumps(dict(header, count=0)) + "\n")
     return out
@@ -147,12 +188,11 @@ def _assert_typed_exit_2(result):
 
 
 @pytest.fixture(scope="module")
-def mixed_image_data(tmp_path_factory):
+def mixed_image_data(tmp_path_factory, sized_data):
     """A 16x16 data dir whose memory store holds one 12x12 record."""
-    out = tmp_path_factory.mktemp("mixed")
-    result = RUNNER.invoke(main, GEN_ARGS + ["--size", "16", "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    lines = (out / "memory.jsonl").read_text().splitlines()
+    out = _copy_stores(sized_data[16], tmp_path_factory.mktemp("mixed"),
+                       ("manifest.json", "train.jsonl", "test.jsonl"))
+    lines = (sized_data[16] / "memory.jsonl").read_text().splitlines()
     record = json.loads(lines[2])
     record.update(h=12, w=12,
                   image=store.encode(np.zeros((12, 12, record["c"]))))
@@ -174,6 +214,38 @@ def test_eval_mixed_memory_image_shapes_exits_2(mixed_image_data, checkpoint):
                                   "--checkpoint", str(checkpoint)])
     _assert_typed_exit_2(result)
     assert "entry 1: image shape (12, 12, 4)" in result.output
+
+
+def test_train_memory_size_other_than_scenes_exits_2(tmp_path, sized_data):
+    data = _copy_stores(sized_data[16], tmp_path / "data",
+                        ("manifest.json", "train.jsonl", "test.jsonl"))
+    _copy_stores(sized_data[32], data, ("memory.jsonl",))
+    cfg = _write_config(tmp_path / "run.yaml", data)
+    result = RUNNER.invoke(main, ["train", "--config", cfg, "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    _assert_typed_exit_2(result)
+    assert "(32, 32, 4)" in result.output and "(16, 16, 4)" in result.output
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_mixed_scene_sizes_exit_2(tmp_path, mixed_scene_data, checkpoint,
+                                  command):
+    data = mixed_scene_data
+    if command == "train":
+        args = ["train", "--config", _write_config(tmp_path / "run.yaml", data),
+                "--out-checkpoint", str(tmp_path / "m.ckpt"), "--quiet"]
+    elif command == "eval":
+        args = ["eval", "--data", str(data), "--checkpoint", str(checkpoint)]
+    else:
+        args = ["predict", "--checkpoint", str(checkpoint),
+                "--scene", str(data / "test.jsonl"),
+                "--memory", str(data / "memory.jsonl")]
+    result = RUNNER.invoke(main, args)
+    _assert_typed_exit_2(result)
+    # 12 train and 4 test scenes at 16 px, then the 20 px one.
+    line = 14 if command == "train" else 6
+    assert (f"line {line}: image shape (20, 20, 4) != (16, 16, 4)"
+            in result.output)
 
 
 def test_train_empty_split_exits_2(tmp_path, data_dir):
@@ -206,7 +278,8 @@ def test_train_unknown_top_level_key_exits_2(tmp_path, data_dir):
 
 @pytest.mark.parametrize("section", [
     {"train": [1, 2]}, {"model": [1, 2]}, {"train": {"lr": "1e-3"}},
-    {"model": {"d": "64"}}, {"synonyms": 3}, {"synonyms": ["open", "shut"]}])
+    {"model": {"d": "64"}}, {"synonyms": 3}, {"synonyms": ["open", "shut"]},
+    {"data": 3}])
 def test_train_malformed_config_section_exits_2(tmp_path, data_dir, section):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(yaml.safe_dump({"data": str(data_dir), **section}))
@@ -244,6 +317,31 @@ def test_train_negative_seed_flag_exits_2(tmp_path, data_dir):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("image_h", 48), ("image_w", 48), ("channels", 4)])
+def test_train_config_sets_image_geometry_exits_2(tmp_path, data_dir, key,
+                                                  value):
+    # Rejected even at the data's own value: the train split sets it.
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"data": str(data_dir),
+                                   "model": {**TINY_MODEL_YAML, key: value}}))
+    result = RUNNER.invoke(main, ["train", "--config", str(cfg),
+                                  "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    _assert_typed_exit_2(result)
+    assert f"['{key}'] come from the data" in result.output
+
+
+def test_train_config_root_not_mapping_exits_2(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("- data\n")
+    result = RUNNER.invoke(main, ["train", "--config", str(cfg),
+                                  "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    _assert_typed_exit_2(result)
+    assert "config root must be a mapping" in result.output
+
+
 def test_train_config_not_yaml_exits_2(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("data: [\n")
@@ -258,9 +356,13 @@ def test_train_flag_overrides_win(tmp_path, data_dir):
     ck = tmp_path / "m.ckpt"
     result = RUNNER.invoke(main, ["train", "--config", cfg,
                                   "--out-checkpoint", str(ck),
-                                  "--max-epochs", "1", "--quiet"])
+                                  "--max-epochs", "1"])
     assert result.exit_code == 0, result.output
-    assert len(load_history(str(ck) + ".history.csv")) == 1
+    history = load_history(str(ck) + ".history.csv")
+    assert len(history) == 1
+    # Without --quiet, train reports each epoch's loss.
+    assert result.output.startswith(f"epoch 1: loss {history[0]:.6f}\n")
+    assert "epoch 2" not in result.output
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +473,24 @@ def test_eval_malformed_option_exits_2(data_dir, checkpoint, args):
 @pytest.mark.parametrize("manifest", ["{", '{"train": "train.jsonl"}', "[]"])
 def test_eval_malformed_manifest_exits_2(tmp_path, data_dir, checkpoint,
                                          manifest):
-    for name in ("train.jsonl", "test.jsonl", "memory.jsonl"):
-        (tmp_path / name).write_bytes((data_dir / name).read_bytes())
+    _copy_stores(data_dir, tmp_path,
+                 ("train.jsonl", "test.jsonl", "memory.jsonl"))
     (tmp_path / "manifest.json").write_text(manifest)
     result = RUNNER.invoke(main, ["eval", "--data", str(tmp_path),
                                   "--checkpoint", str(checkpoint)])
     assert result.exit_code == 2, result.output
     assert "bad manifest" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--data", "{d}"], ["eval", "--data", "{d}", "--k", "0"],
+    ["predict", "--scene", "{d}/test.jsonl", "--memory", "{d}/memory.jsonl"]])
+def test_store_size_other_than_checkpoint_exits_2(sized_data, checkpoint_16px,
+                                                  args):
+    result = RUNNER.invoke(main, [a.format(d=sized_data[32]) for a in args]
+                           + ["--checkpoint", str(checkpoint_16px)])
+    _assert_typed_exit_2(result)
+    assert "(32, 32, 4)" in result.output and "(16, 16, 4)" in result.output
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +524,39 @@ def test_predict_lift_on_flat_depth(data_dir, checkpoint):
     assert payload["contact_3d"][2] == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(payload["direction_3d"]) == pytest.approx(
         1.0, abs=1e-9)
+
+
+def test_predict_lift_empty_retrieval_exits_2(tmp_path, data_dir,
+                                              checkpoint):
+    # Scene 0 is an "open" scene; the memory keeps only "close" entries.
+    lines = (data_dir / "memory.jsonl").read_text().splitlines()
+    kept = [l for l in lines[1:] if json.loads(l)["task"] != "open"]
+    memory = tmp_path / "memory.jsonl"
+    memory.write_text("\n".join(
+        [json.dumps(dict(json.loads(lines[0]), count=len(kept)))] + kept)
+        + "\n")
+    result = RUNNER.invoke(main, ["predict", "--checkpoint", str(checkpoint),
+                                  "--scene", str(data_dir / "test.jsonl"),
+                                  "--memory", str(memory), "--lift"])
+    _assert_typed_exit_2(result)
+    assert "empty retrieval" in result.output
+
+
+def test_predict_lift_degenerate_direction_exits_3(tmp_path, data_dir,
+                                                   checkpoint):
+    params, cfg = load_checkpoint(str(checkpoint))
+    for name in ("head.w2", "head.b2"):  # the raw prediction is exactly 0
+        params[name].data[:] = 0.0
+    zeroed = tmp_path / "zero.ckpt"
+    save_checkpoint(params, cfg, str(zeroed))
+    result = RUNNER.invoke(main, ["predict", "--checkpoint", str(zeroed),
+                                  "--scene", str(data_dir / "test.jsonl"),
+                                  "--memory", str(data_dir / "memory.jsonl"),
+                                  "--lift"])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: degenerate direction" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_predict_k0_still_runs(data_dir, checkpoint):

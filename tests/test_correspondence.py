@@ -94,6 +94,13 @@ def test_channel_mismatch():
         transfer_contact(np.ones((3, 3, 2)), (1, 1), np.ones((3, 3, 3)))
 
 
+@pytest.mark.parametrize("ref_shape,query_shape", [
+    ((3, 3, 2), (0, 4, 2)), ((0, 0, 2), (3, 3, 2))])
+def test_empty_map_rejected(ref_shape, query_shape):
+    with pytest.raises(ContractError, match="empty feature map"):
+        transfer_contact(np.ones(ref_shape), (1, 1), np.ones(query_shape))
+
+
 def test_tie_breaks_row_major():
     ref = np.ones((3, 3, 1))
     # Every query pixel matches equally well; smallest row-major index wins.

@@ -96,6 +96,21 @@ def test_indivisible_image_rejected():
         encode_patches(params, cfg, np.zeros((1, 9, 8, 4)))
 
 
+def test_image_shape_other_than_config_rejected():
+    # 12x8 images cut into as many 4x4 patches as the 8x12 model expects,
+    # but on the wrong grid: the shape, not the patch count, must match.
+    cfg = ModelConfig(d=8, patch_size=4, image_h=8, image_w=12, channels=4,
+                      n_layers=1, n_heads=2, d_ff=16)
+    params = init_model(cfg, seed=0)
+    with pytest.raises(ContractError, match=r"\(12, 8, 4\).*\(8, 12, 4\)"):
+        encode_patches(params, cfg, np.zeros((1, 12, 8, 4)))
+    images, dirs, sims = _refs(np.random.default_rng(0), cfg, 2)
+    with pytest.raises(ContractError):
+        forward_direction(params, cfg, np.zeros((1, 8, 12, 4)),
+                          np.swapaxes(images, 1, 2)[None], dirs[None],
+                          sims[None])
+
+
 # ---------------------------------------------------------------------------
 # FiLM
 

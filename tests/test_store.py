@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from affkit import store
 from affkit.autodiff import Tensor
 from affkit.cli import main
 from affkit.errors import AffkitError, ParseError, SchemaError
@@ -145,6 +146,16 @@ def _nested(i, key, **changes):
     return edit
 
 
+def _resized(i, h, w):
+    """Record i's image, memory image and depth replaced by h x w zeros."""
+    def edit(lines):
+        c = lines[i]["c"]
+        lines[i].update(h=h, w=w, depth=store.encode(np.zeros((h, w))), **{
+            key: store.encode(np.zeros((h, w, c)))
+            for key in ("image", "memory_image")})
+    return edit
+
+
 def _nan_payload(i, key):
     """Sets the first value of record i's base64 payload `key` to NaN."""
     def edit(lines):
@@ -206,6 +217,7 @@ SCENE_CASES = STORE_CASES + [
     ("intrinsics-nan", _nested(1, "intrinsics", fx=NAN), 2),
     ("intrinsics-inf", _nested(1, "intrinsics", cx=INF), 2),
     ("intrinsics-zero-fx", _nested(1, "intrinsics", fx=0.0), 2),
+    ("image-size-of-other-scene", _resized(2, 4, 4), 3),
 ]
 CHECKPOINT_CASES = COMMON_CASES + [
     ("parameter-missing", _delete(3), None),
