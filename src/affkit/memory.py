@@ -184,16 +184,16 @@ def save_memory(memory, path):
 
 
 def load_memory(path):
-    records = store.load(path, FORMAT_NAME)
-    header = next(records)
-    header.get("count", int)  # store.load matches it against the records
-    if header.get("image_encoding", str) != IMAGE_ENCODING:
-        raise ParseError("unsupported image encoding", line=1)
-    d_emb = header.get("d_emb", int)
-    return Memory(d_emb=d_emb, entries=[MemoryEntry(
-        image=rec.array("image", (rec.get("h", int), rec.get("w", int),
-                                  rec.get("c", int))),
-        embedding=rec.floats("embedding", d_emb),
-        task=rec.get("task", str),
-        affordance=affordance_from(rec),
-        source_id=rec.get("source_id", (str, type(None)))) for rec in records])
+    with store.load(path, FORMAT_NAME) as (header, records):
+        header.get("count", int)  # store.load matches it against the records
+        if header.get("image_encoding", str) != IMAGE_ENCODING:
+            raise ParseError("unsupported image encoding", line=1)
+        d_emb = header.get("d_emb", int)
+        return Memory(d_emb=d_emb, entries=[MemoryEntry(
+            image=rec.array("image", (rec.get("h", int), rec.get("w", int),
+                                      rec.get("c", int))),
+            embedding=rec.floats("embedding", d_emb),
+            task=rec.get("task", str),
+            affordance=affordance_from(rec),
+            source_id=rec.get("source_id", (str, type(None))))
+            for rec in records])

@@ -356,21 +356,22 @@ def save_checkpoint(params, cfg, path):
 def load_checkpoint(path):
     """(params, cfg) from a checkpoint that holds each parameter of
     `init_model(cfg)` once, at its shape."""
-    records = store.load(path, CHECKPOINT_FORMAT)
-    cfg = next(records).dataclass("config", ModelConfig)
-    params, loaded = init_model(cfg), set()
-    for rec in records:
-        name = rec.get("name", str)
-        if (name in loaded or name not in params
-                or rec.get("shape", list) != list(params[name].shape)):
-            raise ParseError(f"unexpected or repeated parameter {name!r}",
-                             line=rec.line)
-        data = rec.array("data", params[name].shape)
-        if not np.isfinite(data).all():
-            raise ParseError(f"parameter {name!r} holds a non-finite value",
-                             line=rec.line)
-        params[name].data = data
-        loaded.add(name)
-    if loaded != set(params):
-        raise SchemaError(f"checkpoint lacks {sorted(set(params) - loaded)}")
+    with store.load(path, CHECKPOINT_FORMAT) as (header, records):
+        cfg = header.dataclass("config", ModelConfig)
+        params, loaded = init_model(cfg), set()
+        for rec in records:
+            name = rec.get("name", str)
+            if (name in loaded or name not in params
+                    or rec.get("shape", list) != list(params[name].shape)):
+                raise ParseError(f"unexpected or repeated parameter {name!r}",
+                                 line=rec.line)
+            data = rec.array("data", params[name].shape)
+            if not np.isfinite(data).all():
+                raise ParseError(f"parameter {name!r} holds a non-finite "
+                                 f"value", line=rec.line)
+            params[name].data = data
+            loaded.add(name)
+        if loaded != set(params):
+            raise SchemaError(
+                f"checkpoint lacks {sorted(set(params) - loaded)}")
     return params, cfg

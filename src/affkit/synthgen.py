@@ -225,15 +225,14 @@ def _scene(rec):
 
 def load_scenes(path):
     """(scenes, variant) of a scene store; its scenes share one image shape."""
-    records = store.load(path, SCENE_FORMAT)
-    header = next(records)
-    header.get("count", int)  # store.load matches it against the records
-    variant = header.dataclass("variant", BenchmarkVariant)
-    scenes = []
-    for rec in records:
-        scenes.append(_scene(rec))
-        if scenes[-1].image.shape != scenes[0].image.shape:
-            raise ParseError(f"image shape {scenes[-1].image.shape} != "
-                             f"{scenes[0].image.shape} of the first scene",
-                             line=rec.line)
+    with store.load(path, SCENE_FORMAT) as (header, records):
+        header.get("count", int)  # store.load matches it against the records
+        variant = header.dataclass("variant", BenchmarkVariant)
+        scenes = []
+        for rec in records:
+            scenes.append(_scene(rec))
+            if scenes[-1].image.shape != scenes[0].image.shape:
+                raise ParseError(f"image shape {scenes[-1].image.shape} != "
+                                 f"{scenes[0].image.shape} of the first "
+                                 f"scene", line=rec.line)
     return scenes, variant

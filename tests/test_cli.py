@@ -482,6 +482,19 @@ def test_eval_malformed_manifest_exits_2(tmp_path, data_dir, checkpoint,
     assert "bad manifest" in result.output
 
 
+@pytest.mark.parametrize("name", ["test.jsonl", "memory.jsonl"])
+def test_eval_error_names_the_bad_store(tmp_path, data_dir, checkpoint, name):
+    data = _copy_stores(data_dir, tmp_path / "data", ("manifest.json",
+                        "train.jsonl", "test.jsonl", "memory.jsonl"))
+    lines = (data / name).read_text().splitlines()
+    lines[2] = lines[2].replace('"image": "', '"image": "!', 1)
+    (data / name).write_text("\n".join(lines) + "\n")
+    result = RUNNER.invoke(main, ["eval", "--data", str(data),
+                                  "--checkpoint", str(checkpoint)])
+    _assert_typed_exit_2(result)
+    assert f"error: {data / name}: line 3: bad 'image' payload" in result.output
+
+
 @pytest.mark.parametrize("args", [
     ["eval", "--data", "{d}"], ["eval", "--data", "{d}", "--k", "0"],
     ["predict", "--scene", "{d}/test.jsonl", "--memory", "{d}/memory.jsonl"]])

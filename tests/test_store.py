@@ -1,10 +1,13 @@
-"""The shared store format: exact bytes, a typed error with a line number
-for each corrupt memory, scene or checkpoint file, and a fuzz test."""
+"""The shared store format: exact bytes, a base64 decoder that agrees with
+strict `base64.b64decode`, a typed error with a line number for each
+corrupt memory, scene or checkpoint file, and a fuzz test."""
 
 import base64
 import json
 import os
+import string
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from affkit.memory import (Affordance2D, Memory, MemoryEntry, build_memory,
                            load_memory, save_memory)
 from affkit.model import (ModelConfig, init_model, load_checkpoint,
                           save_checkpoint)
-from affkit.synthgen import Scene, get_variant, load_scenes, save_scenes
+from affkit.synthgen import (TASKS, Scene, generate_split, get_variant,
+                             load_scenes, save_scenes)
 
 # Built from exact binary fractions, so the bytes do not depend on the
 # platform's RNG or transcendental functions.
@@ -87,6 +91,77 @@ def test_golden_bytes(tmp_path):
     assert variant == get_variant("noisy")
     np.testing.assert_array_equal(scene.memory_image, IMAGE + 1)
     assert scene.direction == (0.6, -0.8) and scene.intrinsics.fx == 2.5
+
+
+@pytest.fixture
+def saved(monkeypatch):
+    """The (path, fmt, header, records) of each `store.save` call."""
+    calls, save = [], store.save
+
+    def spy(path, fmt, header, records):
+        calls.append((path, fmt, header, list(records)))
+        save(*calls[-1])
+    monkeypatch.setattr(store, "save", spy)
+    return calls
+
+
+def test_save_writes_json_dumps_lines(tmp_path, saved):
+    variant = get_variant("noisy")
+    train, test, memory = generate_split(2, 1, TASKS, seed=3, variant=variant,
+                                         size=16)
+    save_scenes(train, variant, tmp_path / "train")
+    save_scenes(test, variant, tmp_path / "test")
+    save_memory(memory, tmp_path / "memory")
+    save_checkpoint(init_model(TINY), TINY, tmp_path / "ckpt")
+    store.save(tmp_path / "odd", "affkit-odd", {"count": 1}, [{
+        "scene_id": "t\u00fcr-\u00f8-\U0001f600", "source_id": None,
+        "nested": {"a": [1, {"b": False}], "c": "\"\\\n"}, "zero": -0.0,
+        "big": 1e308, "flag": True,
+        "image": store.encode(np.array([-0.0, 1e308, np.pi]))}])
+    assert len(saved) == 5
+    for path, fmt, header, records in saved:
+        objects = [{"format": fmt, "version": store.VERSION, **header},
+                   *records]
+        assert Path(path).read_text() == "".join(
+            json.dumps(obj) + "\n" for obj in objects)
+
+
+# ---------------------------------------------------------------------------
+# base64: the same bytes as strict b64decode, and an error wherever it errs
+
+
+B64_CHARS = (string.ascii_letters + string.digits + "+/="
+             + "-_ .\n\0" + "\u00e9")
+
+
+@st.composite
+def _near_base64(draw):
+    """Base64 of up to 60 random bytes with up to two characters replaced."""
+    text = list(base64.b64encode(draw(st.binary(max_size=60))).decode())
+    for _ in range(draw(st.integers(0, 2)) if text else 0):
+        text[draw(st.integers(0, len(text) - 1))] = draw(
+            st.sampled_from(B64_CHARS))
+    return "".join(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(st.sampled_from(B64_CHARS), max_size=80),
+                 _near_base64()))
+def test_b64decode_agrees_with_strict_b64decode(text):
+    try:
+        expected = base64.b64decode(text, validate=True)
+    except ValueError:
+        with pytest.raises(ValueError):
+            store._b64decode(text)
+    else:
+        assert store._b64decode(text).tobytes() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=300))
+def test_b64decode_round_trips(data):
+    text = base64.b64encode(data).decode("ascii")
+    assert store._b64decode(text).tobytes() == data
 
 
 # ---------------------------------------------------------------------------
