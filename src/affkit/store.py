@@ -85,35 +85,29 @@ def _records(fh, header):
                          line=1)
 
 
+# Four base64 characters of sextets a, b, c, d decode to the 3 bytes
+# a << 2 | b >> 4, (b & 15) << 4 | c >> 2 and (c & 3) << 6 | d. Each pair
+# of characters is looked up at once, in a table indexed by the pair's two
+# bytes read as a little-endian uint16. An entry holds the pair's bits of
+# the 3 bytes read as a little-endian uint32, with `_INVALID` set too if a
+# character of the pair is outside the alphabet.
 _INVALID = 1 << 24
+_SEXTET = np.full(256, 64, np.uint32)  # 64: outside the alphabet
+_SEXTET[np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                      b"0123456789+/", np.uint8)] = np.arange(64)
 
 
-def _pair_table(second):
-    """Lookup table of what a pair of base64 characters gives the 3 bytes of
-    its group of four, for the group's first pair or its `second`.
-
-    A pair is indexed by its two bytes read as a little-endian uint16. An
-    entry is the group's bytes as a little-endian uint32, with the other
-    pair's bits 0; its top byte is 0, or `_INVALID` if a character of the
-    pair is outside the alphabet."""
-    sextet = np.full(256, 64, np.uint8)
-    sextet[np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-                         b"0123456789+/", np.uint8)] = np.arange(64)
-    a, b = sextet[None, :], sextet[:, None]  # the pair's first, second byte
-    table = np.zeros((256, 256, 4), np.uint8)
-    if second:
-        table[..., 1] = a >> 2
-        table[..., 2] = (a & 3) << 6 | b
-    else:
-        table[..., 0] = a << 2 | b >> 4
-        table[..., 1] = (b & 15) << 4
-    table[..., 3] = (a == 64) | (b == 64)  # _INVALID
-    return table.reshape(-1).view("<u4")
+def _pair_table(first, second):
+    """The table of a pair whose first and second characters add the bits
+    `first` and `second`, by byte value; no temporary outgrows 1 KB."""
+    valid = _SEXTET < 64
+    return np.bitwise_or.outer(np.where(valid, second, _INVALID),
+                               np.where(valid, first, _INVALID)).ravel()
 
 
-# Built from uint8 temporaries, so that import adds no more than the two
-# 256 KB tables to peak memory.
-_FIRST_PAIR, _SECOND_PAIR = _pair_table(False), _pair_table(True)
+_FIRST_PAIR = _pair_table(_SEXTET << 2, _SEXTET >> 4 | (_SEXTET & 15) << 12)
+_SECOND_PAIR = _pair_table(_SEXTET >> 2 << 8 | (_SEXTET & 3) << 22,
+                           _SEXTET << 16)
 
 
 def _b64decode(text):
