@@ -120,8 +120,9 @@ def _b64decode(text):
     n = body // 16
     # `out`, which the caller keeps, comes before the temporaries, so that
     # kept arrays do not land between the holes they leave. Over ten runs
-    # of the contact benchmark, the other order gave a peak RSS of 571-580
-    # MB (median 575.8), this one 572-576 MB (median 574.8).
+    # of the contact benchmark on a 2-core x86-64 host, the other order
+    # gave a peak RSS of 571-580 MB (median 575.8), this one 572-576 MB
+    # (median 574.8).
     out = np.empty(12 * n + len(tail), np.uint8)
     out[12 * n:] = np.frombuffer(tail, np.uint8)
     raw = text.encode("ascii")
