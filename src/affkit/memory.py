@@ -189,6 +189,8 @@ def load_memory(path):
         if header.get("image_encoding", str) != IMAGE_ENCODING:
             raise ParseError("unsupported image encoding", line=1)
         d_emb = header.get("d_emb", int)
+        if d_emb < 0:
+            raise ParseError(f"d_emb {d_emb} is negative", line=1)
         return Memory(d_emb=d_emb, entries=[MemoryEntry(
             image=rec.array("image", (rec.get("h", int), rec.get("w", int),
                                       rec.get("c", int))),

@@ -3,10 +3,12 @@
 A scene is a rotated rectangular object with a distinct handle block on
 one edge. Channels: object mask, handle signature, cos/sin motion
 orientation fields. The same array serves as encoder input and as the
-dense correspondence feature map. The "reference-informative" variant
-zeroes the orientation channels in the query view and decouples the
-motion orientation from the object pose, so direction information is
-recoverable only through retrieved references.
+dense correspondence feature map. A scene holds one image, its query
+view; the memory view of each train scene goes only into the memory that
+`generate_split` builds. The "reference-informative" variant zeroes the
+orientation channels in the query view, not in the memory view, and
+decouples the motion orientation from the object pose, so direction
+information is recoverable only through retrieved references.
 """
 
 from dataclasses import dataclass, asdict
@@ -71,8 +73,7 @@ def get_variant(name, noise_std=None):
 class Scene:
     scene_id: str
     task: str
-    image: np.ndarray  # query view, H x W x C
-    memory_image: np.ndarray  # intact channels, used when stored in memory
+    image: np.ndarray  # query view, H x W x C; memory views go to the Memory
     depth: np.ndarray  # H x W meters
     intrinsics: Intrinsics
     contact: tuple  # (x, y) pixels
@@ -103,6 +104,11 @@ def generate_scene(task, seed, variant, size=48):
     Random draws are task-independent, so "close" at a given seed is the
     "open" scene with the direction negated.
     """
+    return _render(task, seed, variant, size)[0]
+
+
+def _render(task, seed, variant, size):
+    """The scene and its memory view, whose orientation channels are intact."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     if size < MIN_SIZE:
@@ -151,45 +157,46 @@ def generate_scene(task, seed, variant, size=48):
 
     embedding = scene_embedding(channels)
 
-    memory_image = channels.copy()
+    memory_view = channels.copy()
     query_image = channels.copy()
     if variant.ambiguous:
         query_image[:, :, 2] = 0.0
         query_image[:, :, 3] = 0.0
     if variant.noise_std > 0.0:
-        memory_image = memory_image + variant.noise_std * noise
+        memory_view = memory_view + variant.noise_std * noise
         query_image = query_image + variant.noise_std * noise
 
     return Scene(
         scene_id=f"{task}-{seed}",
         task=task,
         image=query_image,
-        memory_image=memory_image,
         depth=np.ones((h, w)),
         intrinsics=Intrinsics(fx=1.25 * size, fy=1.25 * size,
                               cx=(w - 1) / 2.0, cy=(h - 1) / 2.0),
         contact=contact,
         direction=(float(direction[0]), float(direction[1])),
         embedding=embedding,
-    )
+    ), memory_view
 
 
 def generate_split(n_train, n_test, tasks, seed, variant, size=48):
     """Disjoint train/test scenes plus a memory built from train scenes only."""
     if n_train < 1 or n_test < 1:
         raise ConfigError("n_train and n_test must be >= 1")
-    train, test = [], []
+    train, test, views = [], [], []
     for t_idx, task in enumerate(tasks):
         base = seed * 1_000_003 + t_idx * 20_011
         for i in range(n_train):
-            train.append(generate_scene(task, base + i, variant, size=size))
+            scene, view = _render(task, base + i, variant, size)
+            train.append(scene)
+            views.append(view)
         for i in range(n_test):
             test.append(generate_scene(task, base + n_train + i, variant,
                                        size=size))
     memory = build_memory([
-        (s.memory_image, s.embedding, s.task,
+        (view, s.embedding, s.task,
          Affordance2D(contact=s.contact, direction=s.direction), s.scene_id)
-        for s in train])
+        for s, view in zip(train, views)])
     return train, test, memory
 
 
@@ -203,7 +210,6 @@ def save_scenes(scenes, variant, path):
             "scene_id": s.scene_id, "task": s.task, "h": s.image.shape[0],
             "w": s.image.shape[1], "c": s.image.shape[2],
             "image": store.encode(s.image),
-            "memory_image": store.encode(s.memory_image),
             "depth": store.encode(s.depth), "intrinsics": asdict(s.intrinsics),
             "contact": list(map(float, s.contact)),
             "direction": list(map(float, s.direction)),
@@ -216,7 +222,6 @@ def _scene(rec):
     return Scene(
         scene_id=rec.get("scene_id", str), task=rec.get("task", str),
         image=rec.array("image", shape),
-        memory_image=rec.array("memory_image", shape),
         depth=rec.array("depth", shape[:2]),
         intrinsics=rec.dataclass("intrinsics", Intrinsics),
         contact=aff.contact, direction=aff.direction,
@@ -224,15 +229,20 @@ def _scene(rec):
 
 
 def load_scenes(path):
-    """(scenes, variant) of a scene store; its scenes share one image shape."""
+    """(scenes, variant) of a scene store; its scenes share one image shape
+    and each has its own scene_id."""
     with store.load(path, SCENE_FORMAT) as (header, records):
         header.get("count", int)  # store.load matches it against the records
         variant = header.dataclass("variant", BenchmarkVariant)
-        scenes = []
+        scenes, ids = [], set()
         for rec in records:
             scenes.append(_scene(rec))
             if scenes[-1].image.shape != scenes[0].image.shape:
                 raise ParseError(f"image shape {scenes[-1].image.shape} != "
                                  f"{scenes[0].image.shape} of the first "
                                  f"scene", line=rec.line)
+            if scenes[-1].scene_id in ids:
+                raise ParseError(f"repeated scene_id "
+                                 f"{scenes[-1].scene_id!r}", line=rec.line)
+            ids.add(scenes[-1].scene_id)
     return scenes, variant

@@ -1,9 +1,11 @@
 """Helpers that only the tests use: the pinhole projection that inverts
 `lifting.backproject`, the per-pixel loop lifting that the array lifting
-must match bit for bit, the reader of `training.save_history` files, and
-the softmax and transpose tape ops and the finite-difference gradient
-checker that the gradient tests and the composed-attention reference
-build on."""
+must match bit for bit, the reader of `training.save_history` files, the
+field-by-field comparison of two scenes, and the softmax and transpose
+tape ops and the finite-difference gradient checker that the gradient
+tests and the composed-attention reference build on."""
+
+import dataclasses
 
 import numpy as np
 
@@ -74,6 +76,17 @@ def load_history(path):
             _, loss = line.strip().split(",")
             history.append(float(loss))
     return history
+
+
+def assert_scenes_equal(a, b):
+    """Every field of two synthgen Scenes equal; arrays bitwise, same dtype."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray) and x.dtype == y.dtype, f.name
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
 
 
 def transpose(a, axes):

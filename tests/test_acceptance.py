@@ -128,20 +128,20 @@ def test_criterion_04_correspondence_oracle():
         task = TASKS[i % 3]
         query = generate_scene(task, 1000 + i, NOISELESS)
         ref = generate_scene(task, 5000 + i, NOISELESS)
-        got = transfer_contact(ref.memory_image, ref.contact, query.image)
+        got = transfer_contact(ref.image, ref.contact, query.image)
         exact += got == (int(query.contact[0]), int(query.contact[1]))
     assert exact >= 198
 
     query = generate_scene("open", 42, NOISELESS)
     ref = generate_scene("open", 43, NOISELESS)
-    base = transfer_contact(ref.memory_image, ref.contact, query.image)
+    base = transfer_contact(ref.image, ref.contact, query.image)
     base_feature = query.image[base[1], base[0]]
     rng = np.random.default_rng(1)
     for _ in range(100):
         scales = rng.uniform(0.05, 20.0,
                              size=(query.image.shape[0],
                                    query.image.shape[1], 1))
-        scaled = transfer_contact(ref.memory_image, ref.contact,
+        scaled = transfer_contact(ref.image, ref.contact,
                                   query.image * scales)
         # Invariant up to exact cosine ties: the handle block holds four
         # bitwise-identical feature pixels, and rescaling rounding may pick

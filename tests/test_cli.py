@@ -248,6 +248,34 @@ def test_mixed_scene_sizes_exit_2(tmp_path, mixed_scene_data, checkpoint,
             in result.output)
 
 
+def _negative_d_emb(lines):
+    """A header-only memory store whose d_emb is -1."""
+    return [json.dumps(dict(json.loads(lines[0]), d_emb=-1, count=0))]
+
+
+def _repeated_scene_id(lines):
+    """A scene store whose second scene has the first one's scene_id."""
+    second = dict(json.loads(lines[2]),
+                  scene_id=json.loads(lines[1])["scene_id"])
+    return [lines[0], lines[1], json.dumps(second), *lines[3:]]
+
+
+@pytest.mark.parametrize("name,edit,error", [
+    ("memory.jsonl", _negative_d_emb, "line 1: d_emb -1 is negative"),
+    ("train.jsonl", _repeated_scene_id, "line 3: repeated scene_id 'open-0'")],
+    ids=["negative-d_emb", "repeated-scene_id"])
+def test_train_corrupt_store_exits_2(tmp_path, data_dir, name, edit, error):
+    data = _copy_stores(data_dir, tmp_path / "data", ("manifest.json",
+                        "train.jsonl", "test.jsonl", "memory.jsonl"))
+    lines = edit((data / name).read_text().splitlines())
+    (data / name).write_text("\n".join(lines) + "\n")
+    cfg = _write_config(tmp_path / "run.yaml", data)
+    result = RUNNER.invoke(main, ["train", "--config", cfg, "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    _assert_typed_exit_2(result)
+    assert f"error: {data / name}: {error}" in result.output
+
+
 def test_train_empty_split_exits_2(tmp_path, data_dir):
     empty = _with_empty_split(tmp_path, data_dir, "train.jsonl")
     cfg = _write_config(tmp_path / "run.yaml", empty)

@@ -3,6 +3,7 @@ strict `base64.b64decode`, a typed error with a line number for each
 corrupt memory, scene or checkpoint file, and a fuzz test."""
 
 import base64
+import collections
 import json
 import os
 import string
@@ -25,6 +26,7 @@ from affkit.model import (ModelConfig, init_model, load_checkpoint,
                           save_checkpoint)
 from affkit.synthgen import (TASKS, Scene, generate_split, get_variant,
                              load_scenes, save_scenes)
+from support import assert_scenes_equal
 
 # Built from exact binary fractions, so the bytes do not depend on the
 # platform's RNG or transcendental functions.
@@ -38,6 +40,19 @@ GOLDEN_MEMORY = (
     '=", "embedding": [0.0, 0.5, 1.0], "contact": [1.0, 0.0], "direction": [0.6'
     ', -0.8], "source_id": "open-0"}\n')
 GOLDEN_SCENES = (
+    '{"format": "affkit-scenes", "version": 1, "count": 1, "variant": {"name": '
+    '"noisy", "noise_std": 0.05, "ambiguous": false}}\n'
+    '{"scene_id": "open-0", "task": "open", "h": 2, "w": 2, "c": 4, "image": "A'
+    'AAAAAAAAAAAAAAAAADAPwAAAAAAANA/AAAAAAAA2D8AAAAAAADgPwAAAAAAAOQ/AAAAAAAA6D8'
+    'AAAAAAADsPwAAAAAAAPA/AAAAAAAA8j8AAAAAAAD0PwAAAAAAAPY/AAAAAAAA+D8AAAAAAAD6P'
+    'wAAAAAAAPw/AAAAAAAA/j8=", "depth": "AAAAAAAA4D8AAAAAAAD4PwAAAAAAAARAAAAAAA'
+    'AADEA=", "intrinsics": {"fx": 2.5, "fy": 2.5, "cx": 0.5, "cy": 0.5}, "cont'
+    'act": [1.0, 0.0], "direction": [0.6, -0.8], "embedding": [0.0, 0.25, 0.5, '
+    '0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75]}\n')
+# The same scene as written before scene records dropped the key
+# "memory_image", a second image that no reader used. It must still load to
+# the same Scene, the key ignored.
+GOLDEN_SCENES_WITH_MEMORY_IMAGE = (
     '{"format": "affkit-scenes", "version": 1, "count": 1, "variant": {"name": '
     '"noisy", "noise_std": 0.05, "ambiguous": false}}\n'
     '{"scene_id": "open-0", "task": "open", "h": 2, "w": 2, "c": 4, "image": "A'
@@ -63,7 +78,6 @@ TINY = ModelConfig(d=4, patch_size=2, image_h=2, image_w=2, channels=4,
 
 def _scene(i, direction=(0.6, -0.8)):
     return Scene(scene_id=f"open-{i}", task="open", image=IMAGE + i,
-                 memory_image=IMAGE + i + 1,
                  depth=np.arange(4, dtype=np.float64).reshape(2, 2) + 0.5,
                  intrinsics=Intrinsics(fx=2.5, fy=2.5, cx=0.5, cy=0.5),
                  contact=(1.0, 0.0), direction=direction,
@@ -87,10 +101,11 @@ def test_golden_bytes(tmp_path):
     loaded = load_memory(tmp_path / "m").entries[0]
     np.testing.assert_array_equal(loaded.image, IMAGE)
     assert loaded.affordance == memory.entries[0].affordance
-    (scene,), variant = load_scenes(tmp_path / "s")
-    assert variant == get_variant("noisy")
-    np.testing.assert_array_equal(scene.memory_image, IMAGE + 1)
-    assert scene.direction == (0.6, -0.8) and scene.intrinsics.fx == 2.5
+    (tmp_path / "old").write_text(GOLDEN_SCENES_WITH_MEMORY_IMAGE)
+    for path in (tmp_path / "s", tmp_path / "old"):
+        (scene,), variant = load_scenes(path)
+        assert variant == get_variant("noisy")
+        assert_scenes_equal(scene, _scene(0))
 
 
 @pytest.fixture
@@ -124,6 +139,35 @@ def test_save_writes_json_dumps_lines(tmp_path, saved):
                    *records]
         assert Path(path).read_text() == "".join(
             json.dumps(obj) + "\n" for obj in objects)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Line number -> the keys that the Record accessors read on it."""
+    reads = collections.defaultdict(set)
+    for name in ("get", "floats", "array", "dataclass"):
+        def spy(rec, key, *args, _read=getattr(store.Record, name)):
+            reads[rec.line].add(key)
+            return _read(rec, key, *args)
+        monkeypatch.setattr(store.Record, name, spy)
+    return reads
+
+
+def test_every_stored_field_has_a_reader(tmp_path, saved, reads):
+    variant = get_variant("reference-informative")
+    train, _, memory = generate_split(2, 1, TASKS, seed=3, variant=variant,
+                                      size=16)
+    save_scenes(train, variant, tmp_path / "scenes")
+    save_memory(memory, tmp_path / "memory")
+    save_checkpoint(init_model(TINY), TINY, tmp_path / "ckpt")
+    loaders = (load_scenes, load_memory, load_checkpoint)
+    for (path, fmt, header, records), loader in zip(saved, loaders):
+        reads.clear()
+        loader(path)
+        reads[1] |= {"format", "version"}  # store.load checks these two
+        written = [{"format", "version", *header}, *map(set, records)]
+        assert [reads[n] for n in range(1, len(written) + 1)] == written, fmt
+        assert len(reads) == len(written)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +218,7 @@ def _write_stores(directory):
     paths = {name: directory / name for name in ("memory", "scenes", "ckpt")}
     save_scenes(scenes, get_variant("noiseless"), paths["scenes"])
     save_memory(build_memory([
-        (s.memory_image, s.embedding, s.task,
+        (s.image, s.embedding, s.task,
          Affordance2D(contact=s.contact, direction=s.direction),
          f"ref-{s.scene_id}") for s in scenes]), paths["memory"])
     save_checkpoint(init_model(TINY), TINY, paths["ckpt"])
@@ -222,12 +266,10 @@ def _nested(i, key, **changes):
 
 
 def _resized(i, h, w):
-    """Record i's image, memory image and depth replaced by h x w zeros."""
+    """Record i's image and depth replaced by h x w zeros."""
     def edit(lines):
-        c = lines[i]["c"]
-        lines[i].update(h=h, w=w, depth=store.encode(np.zeros((h, w))), **{
-            key: store.encode(np.zeros((h, w, c)))
-            for key in ("image", "memory_image")})
+        lines[i].update(h=h, w=w, depth=store.encode(np.zeros((h, w))),
+                        image=store.encode(np.zeros((h, w, lines[i]["c"]))))
     return edit
 
 
@@ -276,6 +318,7 @@ STORE_CASES = COMMON_CASES + [
 ]
 MEMORY_CASES = STORE_CASES + [
     ("d_emb-missing", _drop(0, "d_emb"), 1),
+    ("d_emb-negative", _set(0, "d_emb", -1), 1),
     ("encoding-other", _set(0, "image_encoding", "base64/float32-le"), 1),
     ("source_id-not-str", _set(1, "source_id", 7), 2),
 ]
@@ -285,6 +328,7 @@ SCENE_CASES = STORE_CASES + [
     ("variant-missing-key", _nested(0, "variant", ambiguous=None), 1),
     ("variant-not-dict", _set(0, "variant", [1]), 1),
     ("scene_id-missing", _drop(1, "scene_id"), 2),
+    ("scene_id-repeated", _set(2, "scene_id", "open-0"), 3),
     ("depth-7-bytes", _set(1, "depth", SEVEN_BYTES), 2),
     ("intrinsics-missing", _drop(1, "intrinsics"), 2),
     ("intrinsics-unknown-key", _nested(1, "intrinsics", skew=0.0), 2),

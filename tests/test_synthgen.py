@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from affkit.errors import ConfigError, ParseError
-from affkit.synthgen import (HANDLE_VALUE, TASKS, generate_scene,
-                             generate_split, get_variant, hflip_image,
-                             load_scenes, save_scenes, scene_embedding)
+from affkit.synthgen import (HANDLE_VALUE, TASKS, VARIANT_PRESETS,
+                             generate_scene, generate_split, get_variant,
+                             hflip_image, load_scenes, save_scenes,
+                             scene_embedding)
+from support import assert_scenes_equal
 
 NOISELESS = get_variant("noiseless")
 
@@ -134,8 +136,6 @@ def test_noisy_keeps_noiseless_embedding():
 def test_ambiguous_query_carries_no_orientation():
     s = generate_scene("open", 4, get_variant("reference-informative"))
     assert (s.image[:, :, 2] == 0).all() and (s.image[:, :, 3] == 0).all()
-    # The memory view keeps the orientation channels intact.
-    assert (np.abs(s.memory_image[:, :, 2]) > 0).any()
 
 
 def test_ambiguous_direction_decoupled_from_pose():
@@ -203,6 +203,25 @@ def test_ambiguous_split_queries_blind_references_sighted():
         assert (np.abs(e.image[:, :, 2]) > 0).any()
 
 
+@pytest.mark.parametrize("name", sorted(VARIANT_PRESETS))
+def test_split_memory_holds_train_memory_views(name):
+    """Each memory entry is its train scene's memory view: the query view
+    itself, bit for bit, unless the variant blinds the query, in which case
+    the entry keeps the orientation field that the query view zeroes."""
+    variant = get_variant(name)
+    train, _, memory = generate_split(4, 1, TASKS, seed=5, variant=variant)
+    assert [e.source_id for e in memory.entries] == [s.scene_id for s in train]
+    for s, e in zip(train, memory.entries):
+        if not variant.ambiguous:
+            assert e.image.tobytes() == s.image.tobytes()
+            continue
+        assert e.image[:, :, :2].tobytes() == s.image[:, :, :2].tobytes()
+        assert (s.image[:, :, 2:] == 0).all()
+        mask = s.image[:, :, 0] > 0.5
+        np.testing.assert_allclose(
+            np.hypot(e.image[:, :, 2], e.image[:, :, 3])[mask], 1.0)
+
+
 def test_split_counts_validated():
     with pytest.raises(ConfigError):
         generate_split(0, 1, TASKS, seed=0, variant=NOISELESS)
@@ -221,13 +240,7 @@ def test_scene_roundtrip_bitwise(tmp_path):
     assert variant == get_variant("noisy")
     assert len(loaded) == len(scenes)
     for a, b in zip(scenes, loaded):
-        assert a.scene_id == b.scene_id and a.task == b.task
-        np.testing.assert_array_equal(a.image, b.image)
-        np.testing.assert_array_equal(a.memory_image, b.memory_image)
-        np.testing.assert_array_equal(a.depth, b.depth)
-        np.testing.assert_array_equal(a.embedding, b.embedding)
-        assert a.contact == b.contact and a.direction == b.direction
-        assert a.intrinsics == b.intrinsics
+        assert_scenes_equal(a, b)
 
 
 def test_truncated_scene_store(tmp_path):
