@@ -1,11 +1,23 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Tensors record the operation that produced them; `backward` replays the
-tape in reverse creation order. Everything is float64 so that analytic
-gradients can be checked against central finite differences.
+A Tensor that requires a gradient carries a tape node: its creation
+index, its `grad_fn`, its parents' nodes and, for a leaf, the leaf Tensor
+that receives `.grad`. `backward` replays the nodes in reverse creation
+order. Each `grad_fn` closes over only the arrays its adjoint reads, so an
+intermediate that no backward reads is freed as soon as its caller drops
+it. Everything is float64 so that analytic gradients can be checked
+against central finite differences.
+
+The tape's private scratch arrays (attention `probs`, GELU `erf1`) are
+prefix views of flat buffers kept on a free list. A buffer goes back on
+the list when the node whose `grad_fn` reads it is collected, or right
+after its op when no node is made, so the next step at the same shapes
+reuses it instead of asking the allocator again.
 """
 
 import itertools
+import math
+import weakref
 
 import numpy as np
 
@@ -14,20 +26,41 @@ from .errors import ContractError, DimensionError
 
 _counter = itertools.count()
 LAYER_NORM_EPS = 1e-5
+# Flat float64 scratch buffers that no live node or op reads.
+_free = []
+
+
+class _Node:
+    """Tape entry of a requires_grad Tensor; `leaf` is None for op outputs."""
+
+    __slots__ = ("idx", "grad_fn", "parents", "leaf", "__weakref__")
+
+    def __init__(self, idx, grad_fn, parents, leaf):
+        self.idx = idx
+        self.grad_fn = grad_fn
+        self.parents = parents  # one node per op input, None off the tape
+        self.leaf = leaf
 
 
 class Tensor:
-    """A float64 array with an optional gradient buffer and tape entry."""
+    """A float64 array with an optional gradient buffer and tape node."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_idx")
+    __slots__ = ("data", "grad", "_node")
 
     def __init__(self, data, requires_grad=False, _parents=(), _grad_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._grad_fn = _grad_fn
-        self._idx = next(_counter)
+        idx = next(_counter)
+        if _grad_fn is not None:
+            self._node = _Node(idx, _grad_fn, _parents, None)
+        elif requires_grad:
+            self._node = _Node(idx, None, (), self)
+        else:
+            self._node = None
+
+    @property
+    def requires_grad(self):
+        return self._node is not None
 
     @property
     def shape(self):
@@ -54,11 +87,31 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _make(data, parents, grad_fn):
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req,
-                  _parents=parents if req else (),
-                  _grad_fn=grad_fn if req else None)
+def _scratch(shape):
+    """(buffer, view): the smallest free buffer that holds `shape`, or a
+    new one, and a C-contiguous `shape` view of its prefix."""
+    size = math.prod(shape)
+    fits = [i for i, buf in enumerate(_free) if buf.size >= size]
+    buf = (_free.pop(min(fits, key=lambda i: _free[i].size)) if fits
+           else np.empty(size))
+    return buf, buf[:size].reshape(shape)
+
+
+def _make(data, parents, grad_fn, scratch=None):
+    """The output Tensor of an op, with a tape node if any parent has one.
+
+    `scratch` is a buffer from `_scratch` that `grad_fn` reads. It returns
+    to the free list when the node is collected, or now if none is made.
+    """
+    nodes = tuple(p._node for p in parents)
+    if all(n is None for n in nodes):
+        if scratch is not None:
+            _free.append(scratch)
+        return Tensor(data)
+    out = Tensor(data, _parents=nodes, _grad_fn=grad_fn)
+    if scratch is not None:
+        weakref.finalize(out._node, _free.append, scratch)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +124,10 @@ def add(a, b):
         out = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    sa, sb = a.shape, b.shape
 
     def grad_fn(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     return _make(out, (a, b), grad_fn)
 
@@ -84,9 +138,10 @@ def sub(a, b):
         out = a.data - b.data
     except ValueError:
         raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
+    sa, sb = a.shape, b.shape
 
     def grad_fn(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
 
     return _make(out, (a, b), grad_fn)
 
@@ -97,9 +152,10 @@ def mul(a, b):
         out = a.data * b.data
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+    x, y = a.data, b.data
 
     def grad_fn(g):
-        return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape))
 
     return _make(out, (a, b), grad_fn)
 
@@ -110,10 +166,11 @@ def div(a, b):
         out = a.data / b.data
     except ValueError:
         raise DimensionError(f"div: shapes {a.shape} and {b.shape} do not broadcast")
+    x, y = a.data, b.data
 
     def grad_fn(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / y, x.shape)
+        gb = _unbroadcast(-g * x / (y * y), y.shape)
         return (ga, gb)
 
     return _make(out, (a, b), grad_fn)
@@ -146,21 +203,23 @@ def sigmoid(a):
 def gelu(a):
     """Exact (erf-based) GELU; smooth, so finite differences stay honest."""
     a = _as_tensor(a)
-    erf1 = np.empty_like(a.data)
-    out = kernels.gelu_forward(a.data, erf1)
+    x = a.data
+    buf, erf1 = _scratch(x.shape)
+    out = kernels.gelu_forward(x, erf1)
 
     def grad_fn(g):
-        return (kernels.gelu_grad(g, a.data, erf1),)
+        return (kernels.gelu_grad(g, x, erf1),)
 
-    return _make(out, (a,), grad_fn)
+    return _make(out, (a,), grad_fn, scratch=buf)
 
 
 def log(a):
     a = _as_tensor(a)
-    out = np.log(a.data)
+    x = a.data
+    out = np.log(x)
 
     def grad_fn(g):
-        return (g / a.data,)
+        return (g / x,)
 
     return _make(out, (a,), grad_fn)
 
@@ -175,11 +234,12 @@ def matmul(a, b):
         raise DimensionError(f"matmul needs ndim >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dims disagree, {a.shape} vs {b.shape}")
-    out = np.matmul(a.data, b.data)
+    x, y = a.data, b.data
+    out = np.matmul(x, y)
 
     def grad_fn(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), x.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), y.shape)
         return (ga, gb)
 
     return _make(out, (a, b), grad_fn)
@@ -210,12 +270,13 @@ def concat(tensors, axis=0):
 def narrow(a, axis, start, length):
     """Contiguous slice [start, start+length) along `axis`."""
     a = _as_tensor(a)
+    shape = a.shape
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
     def grad_fn(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[idx] = g
         return (full,)
 
@@ -224,24 +285,26 @@ def narrow(a, axis, start, length):
 
 def sum_(a, axis=None, keepdims=False):
     a = _as_tensor(a)
+    shape = a.shape
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def grad_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(out, (a,), grad_fn)
 
 
 def mean(a, axis):
     a = _as_tensor(a)
-    n = a.shape[axis]
+    shape = a.shape
+    n = shape[axis]
     out = a.data.mean(axis=axis)
 
     def grad_fn(g):
         g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, a.shape).copy(),)
+        return (np.broadcast_to(g / n, shape).copy(),)
 
     return _make(out, (a,), grad_fn)
 
@@ -251,8 +314,9 @@ def attention(q, k, v, n_heads, bias=None):
 
     q: (b, n, d); k, v: (b, m, d); bias: (b, m), added to the logits of
     every head and query, or None. The 1/sqrt(d / n_heads) scale is the
-    caller's to fold into q. Returns (b, n, d). Only the (b, h, n, m)
-    softmax output is kept for the backward pass.
+    caller's to fold into q. Returns (b, n, d). Besides the q, k and v
+    arrays, only the (b, h, n, m) softmax output, a scratch buffer, is
+    kept for the backward pass.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim != 3 or k.data.ndim != 3:
@@ -270,6 +334,8 @@ def attention(q, k, v, n_heads, bias=None):
                 f"attention: bias {bias.shape} is not ({b}, {m})")
         parents += (bias,)
     h, dh = n_heads, d // n_heads
+    qd, kd, vd = q.data, k.data, v.data
+    has_bias = bias is not None
 
     def heads(x, i):
         """(h, tokens, dh) view of element i of a (b, tokens, d) array."""
@@ -281,15 +347,15 @@ def attention(q, k, v, n_heads, bias=None):
 
     # One batch element at a time keeps each (h, n, m) block in cache
     # from the logits through the softmax to the product with v.
-    probs = np.empty((b, h, n, m))
+    buf, probs = _scratch((b, h, n, m))
     out = np.empty((b, n, d))
     for i in range(b):
-        p = np.matmul(heads(q.data, i), heads(k.data, i).transpose(0, 2, 1),
+        p = np.matmul(heads(qd, i), heads(kd, i).transpose(0, 2, 1),
                       out=probs[i])
-        if bias is not None:
+        if has_bias:
             p += bias.data[i]
         kernels.softmax_rows(p)
-        out[i] = merge(np.matmul(p, heads(v.data, i)))
+        out[i] = merge(np.matmul(p, heads(vd, i)))
 
     def grad_fn(g):
         dq = np.empty((b, n, d))
@@ -298,16 +364,16 @@ def attention(q, k, v, n_heads, bias=None):
         for i in range(b):
             p, go = probs[i], heads(g, i)
             dv[i] = merge(np.matmul(p.transpose(0, 2, 1), go))
-            dp = np.matmul(go, heads(v.data, i).transpose(0, 2, 1))
+            dp = np.matmul(go, heads(vd, i).transpose(0, 2, 1))
             kernels.softmax_rows_grad(dp, p)
-            if bias is not None:
+            if has_bias:
                 dbias[i] = dp.sum(axis=(0, 1))
-            dq[i] = merge(np.matmul(dp, heads(k.data, i)))
-            dk[i] = np.matmul(heads(q.data, i).transpose(0, 2, 1),
+            dq[i] = merge(np.matmul(dp, heads(kd, i)))
+            dk[i] = np.matmul(heads(qd, i).transpose(0, 2, 1),
                               dp).transpose(2, 0, 1).reshape(m, d)
-        return (dq, dk, dv, dbias)[:len(parents)]
+        return (dq, dk, dv, dbias) if has_bias else (dq, dk, dv)
 
-    return _make(out, parents, grad_fn)
+    return _make(out, parents, grad_fn, scratch=buf)
 
 
 def layer_norm(x, gain, bias):
@@ -321,13 +387,14 @@ def layer_norm(x, gain, bias):
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    gd = gain.data
+    out = xhat * gd + bias.data
+    red = tuple(range(x.data.ndim - 1))
 
     def grad_fn(g):
-        gg = g * gain.data
+        gg = g * gd
         gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
                     - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        red = tuple(range(x.data.ndim - 1))
         return (gx, (g * xhat).sum(axis=red), g.sum(axis=red))
 
     return _make(out, (x, gain, bias), grad_fn)
@@ -343,37 +410,39 @@ def backward(loss):
         raise ContractError("backward expects a Tensor")
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
+    root = loss._node
+    if root is None:
         return
 
     # Reachable subgraph, replayed strictly in reverse creation order.
-    seen = {loss}
-    stack = [loss]
+    seen = {root}
+    stack = [root]
     nodes = []
     while stack:
-        t = stack.pop()
-        nodes.append(t)
-        for p in t._parents:
-            if p.requires_grad and p not in seen:
+        node = stack.pop()
+        nodes.append(node)
+        for p in node.parents:
+            if p is not None and p not in seen:
                 seen.add(p)
                 stack.append(p)
-    nodes.sort(key=lambda t: t._idx, reverse=True)
+    nodes.sort(key=lambda node: node.idx, reverse=True)
 
-    adjoint = {loss: np.ones_like(loss.data)}
-    for t in nodes:
-        g = adjoint.pop(t, None)
+    adjoint = {root: np.ones_like(loss.data)}
+    for node in nodes:
+        g = adjoint.pop(node, None)
         if g is None:
             continue
-        if t._grad_fn is None:
+        if node.grad_fn is None:
             # Only leaves keep a gradient, so every other adjoint is freed
             # once its grad_fn has run. Accumulation allocates, so the
             # adjoint can be aliased directly; nothing downstream mutates
             # gradient buffers in place.
+            t = node.leaf
             t.grad = g if t.grad is None else t.grad + g
             continue
-        grads = t._grad_fn(g)
-        for p, gp in zip(t._parents, grads):
-            if not p.requires_grad:
+        grads = node.grad_fn(g)
+        for p, gp in zip(node.parents, grads):
+            if p is None:
                 continue
             if p in adjoint:
                 adjoint[p] = adjoint[p] + gp

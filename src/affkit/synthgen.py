@@ -119,7 +119,6 @@ def _render(task, seed, variant, size):
     center = np.array([w / 2.0, h / 2.0]) + rng.uniform(-3.0, 3.0, size=2)
     psi_free = rng.uniform(0.0, 2.0 * np.pi)
     pickup_jitter = rng.uniform(-np.pi / 18.0, np.pi / 18.0)
-    noise = rng.normal(0.0, 1.0, size=(h, w, N_CHANNELS))
 
     # In the reference-informative variant, motion orientation is drawn
     # independently of the pose, so the (later zeroed) query image carries
@@ -163,6 +162,9 @@ def _render(task, seed, variant, size):
         query_image[:, :, 2] = 0.0
         query_image[:, :, 3] = 0.0
     if variant.noise_std > 0.0:
+        # The last draw of the scene's stream, so skipping it when the
+        # variant is noiseless changes no other value.
+        noise = rng.normal(0.0, 1.0, size=(h, w, N_CHANNELS))
         memory_view = memory_view + variant.noise_std * noise
         query_image = query_image + variant.noise_std * noise
 

@@ -110,11 +110,13 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
-            mhat = self.m[name] / b1t
-            vhat = self.v[name] / b2t
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * g * g
+            mhat = m / b1t
+            vhat = v / b2t
             p.data -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 

@@ -440,10 +440,20 @@ def test_predict_matches_forward_and_builds_no_tape(tiny, monkeypatch):
         outputs.append(forward_direction(*args, **kwargs))
         return outputs[-1]
 
+    nodes = []
+
+    class RecordedNode(ad._Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            nodes.append(args)
+            super().__init__(*args)
+
     monkeypatch.setattr(model, "forward_direction", recording)
+    monkeypatch.setattr(ad, "_Node", RecordedNode)
     raw, _ = predict_direction(params, cfg, img, *refs)
     np.testing.assert_array_equal(raw, expected)
-    assert not outputs[0].requires_grad and outputs[0]._grad_fn is None
+    assert outputs[0]._node is None and not nodes
     assert all(p.grad is None for p in params.values())
 
 
