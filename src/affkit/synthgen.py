@@ -8,7 +8,10 @@ view; the memory view of each train scene goes only into the memory that
 `generate_split` builds. The "reference-informative" variant zeroes the
 orientation channels in the query view, not in the memory view, and
 decouples the motion orientation from the object pose, so direction
-information is recoverable only through retrieved references.
+information is recoverable only through retrieved references. In every
+other variant the two views are equal, and a generated memory entry and
+its train scene share one image array: no caller may write into a
+generated image in place.
 """
 
 from dataclasses import dataclass, asdict
@@ -108,7 +111,11 @@ def generate_scene(task, seed, variant, size=48):
 
 
 def _render(task, seed, variant, size):
-    """The scene and its memory view, whose orientation channels are intact."""
+    """The scene and its memory view, whose orientation channels are intact.
+
+    Unless the variant blinds the query, the memory view is the scene's
+    image itself, not a copy, so writing into one changes the other.
+    """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     if size < MIN_SIZE:
@@ -156,17 +163,20 @@ def _render(task, seed, variant, size):
 
     embedding = scene_embedding(channels)
 
-    memory_view = channels.copy()
-    query_image = channels.copy()
-    if variant.ambiguous:
-        query_image[:, :, 2] = 0.0
-        query_image[:, :, 3] = 0.0
+    memory_view = channels
     if variant.noise_std > 0.0:
         # The last draw of the scene's stream, so skipping it when the
         # variant is noiseless changes no other value.
-        noise = rng.normal(0.0, 1.0, size=(h, w, N_CHANNELS))
-        memory_view = memory_view + variant.noise_std * noise
-        query_image = query_image + variant.noise_std * noise
+        noise = variant.noise_std * rng.normal(0.0, 1.0,
+                                               size=(h, w, N_CHANNELS))
+        memory_view = channels + noise
+    query_image = memory_view
+    if variant.ambiguous:
+        query_image = channels.copy()
+        query_image[:, :, 2] = 0.0
+        query_image[:, :, 3] = 0.0
+        if variant.noise_std > 0.0:
+            query_image += noise
 
     return Scene(
         scene_id=f"{task}-{seed}",
@@ -185,6 +195,8 @@ def generate_split(n_train, n_test, tasks, seed, variant, size=48):
     """Disjoint train/test scenes plus a memory built from train scenes only."""
     if n_train < 1 or n_test < 1:
         raise ConfigError("n_train and n_test must be >= 1")
+    if len(set(tasks)) != len(tasks):
+        raise ConfigError(f"task names must not repeat, got {list(tasks)}")
     train, test, views = [], [], []
     for t_idx, task in enumerate(tasks):
         base = seed * 1_000_003 + t_idx * 20_011

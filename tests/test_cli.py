@@ -142,6 +142,14 @@ def test_gen_rejects_bad_scene_options(tmp_path, args):
     assert not list(tmp_path.iterdir())
 
 
+def test_gen_rejects_repeated_task(tmp_path):
+    result = RUNNER.invoke(main, GEN_ARGS + ["--tasks", "open,open",
+                                             "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "error: " in result.output and "repeat" in result.output
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_rejects_negative_seed(tmp_path):
     result = RUNNER.invoke(main, GEN_ARGS + ["--seed", "-1",
                                              "--out", str(tmp_path)])

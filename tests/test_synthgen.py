@@ -1,5 +1,7 @@
 """Synthetic scene generator and benchmark variants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,15 +208,17 @@ def test_ambiguous_split_queries_blind_references_sighted():
 @pytest.mark.parametrize("name", sorted(VARIANT_PRESETS))
 def test_split_memory_holds_train_memory_views(name):
     """Each memory entry is its train scene's memory view: the query view
-    itself, bit for bit, unless the variant blinds the query, in which case
-    the entry keeps the orientation field that the query view zeroes."""
+    itself, the same array, unless the variant blinds the query, in which
+    case the entry keeps the orientation field that the query view zeroes."""
     variant = get_variant(name)
     train, _, memory = generate_split(4, 1, TASKS, seed=5, variant=variant)
     assert [e.source_id for e in memory.entries] == [s.scene_id for s in train]
     for s, e in zip(train, memory.entries):
         if not variant.ambiguous:
             assert e.image.tobytes() == s.image.tobytes()
+            assert np.shares_memory(e.image, s.image)
             continue
+        assert not np.shares_memory(e.image, s.image)
         assert e.image[:, :, :2].tobytes() == s.image[:, :, :2].tobytes()
         assert (s.image[:, :, 2:] == 0).all()
         mask = s.image[:, :, 0] > 0.5
@@ -225,6 +229,22 @@ def test_split_memory_holds_train_memory_views(name):
 def test_split_counts_validated():
     with pytest.raises(ConfigError):
         generate_split(0, 1, TASKS, seed=0, variant=NOISELESS)
+
+
+@pytest.mark.parametrize("name", ["noiseless", "noisy"])
+def test_split_holds_one_copy_of_each_image(name):
+    """The split's arrays outlive the call once: its memory adds no image
+    copies, so what stays allocated is about the scenes' own arrays."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train, test, memory = generate_split(20, 1, TASKS, seed=0,
+                                             variant=get_variant(name))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = sum(s.image.nbytes + s.depth.nbytes for s in train + test)
+    assert held <= 1.1 * arrays, (held, arrays)
 
 
 # ---------------------------------------------------------------------------
