@@ -7,17 +7,9 @@ order. Each `grad_fn` closes over only the arrays its adjoint reads, so an
 intermediate that no backward reads is freed as soon as its caller drops
 it. Everything is float64 so that analytic gradients can be checked
 against central finite differences.
-
-The tape's private scratch arrays (attention `probs`, GELU `erf1`) are
-prefix views of flat buffers kept on a free list. A buffer goes back on
-the list when the node whose `grad_fn` reads it is collected, or right
-after its op when no node is made, so the next step at the same shapes
-reuses it instead of asking the allocator again.
 """
 
 import itertools
-import math
-import weakref
 
 import numpy as np
 
@@ -26,14 +18,12 @@ from .errors import ContractError, DimensionError
 
 _counter = itertools.count()
 LAYER_NORM_EPS = 1e-5
-# Flat float64 scratch buffers that no live node or op reads.
-_free = []
 
 
 class _Node:
     """Tape entry of a requires_grad Tensor; `leaf` is None for op outputs."""
 
-    __slots__ = ("idx", "grad_fn", "parents", "leaf", "__weakref__")
+    __slots__ = ("idx", "grad_fn", "parents", "leaf")
 
     def __init__(self, idx, grad_fn, parents, leaf):
         self.idx = idx
@@ -87,31 +77,12 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _scratch(shape):
-    """(buffer, view): the smallest free buffer that holds `shape`, or a
-    new one, and a C-contiguous `shape` view of its prefix."""
-    size = math.prod(shape)
-    fits = [i for i, buf in enumerate(_free) if buf.size >= size]
-    buf = (_free.pop(min(fits, key=lambda i: _free[i].size)) if fits
-           else np.empty(size))
-    return buf, buf[:size].reshape(shape)
-
-
-def _make(data, parents, grad_fn, scratch=None):
-    """The output Tensor of an op, with a tape node if any parent has one.
-
-    `scratch` is a buffer from `_scratch` that `grad_fn` reads. It returns
-    to the free list when the node is collected, or now if none is made.
-    """
+def _make(data, parents, grad_fn):
+    """The output Tensor of an op, with a tape node if any parent has one."""
     nodes = tuple(p._node for p in parents)
     if all(n is None for n in nodes):
-        if scratch is not None:
-            _free.append(scratch)
         return Tensor(data)
-    out = Tensor(data, _parents=nodes, _grad_fn=grad_fn)
-    if scratch is not None:
-        weakref.finalize(out._node, _free.append, scratch)
-    return out
+    return Tensor(data, _parents=nodes, _grad_fn=grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +175,13 @@ def gelu(a):
     """Exact (erf-based) GELU; smooth, so finite differences stay honest."""
     a = _as_tensor(a)
     x = a.data
-    buf, erf1 = _scratch(x.shape)
+    erf1 = np.empty(x.shape)
     out = kernels.gelu_forward(x, erf1)
 
     def grad_fn(g):
         return (kernels.gelu_grad(g, x, erf1),)
 
-    return _make(out, (a,), grad_fn, scratch=buf)
+    return _make(out, (a,), grad_fn)
 
 
 def log(a):
@@ -315,8 +286,8 @@ def attention(q, k, v, n_heads, bias=None):
     q: (b, n, d); k, v: (b, m, d); bias: (b, m), added to the logits of
     every head and query, or None. The 1/sqrt(d / n_heads) scale is the
     caller's to fold into q. Returns (b, n, d). Besides the q, k and v
-    arrays, only the (b, h, n, m) softmax output, a scratch buffer, is
-    kept for the backward pass.
+    arrays, only the (b, h, n, m) softmax output is kept for the backward
+    pass.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim != 3 or k.data.ndim != 3:
@@ -347,7 +318,7 @@ def attention(q, k, v, n_heads, bias=None):
 
     # One batch element at a time keeps each (h, n, m) block in cache
     # from the logits through the softmax to the product with v.
-    buf, probs = _scratch((b, h, n, m))
+    probs = np.empty((b, h, n, m))
     out = np.empty((b, n, d))
     for i in range(b):
         p = np.matmul(heads(qd, i), heads(kd, i).transpose(0, 2, 1),
@@ -373,7 +344,7 @@ def attention(q, k, v, n_heads, bias=None):
                               dp).transpose(2, 0, 1).reshape(m, d)
         return (dq, dk, dv, dbias) if has_bias else (dq, dk, dv)
 
-    return _make(out, parents, grad_fn, scratch=buf)
+    return _make(out, parents, grad_fn)
 
 
 def layer_norm(x, gain, bias):

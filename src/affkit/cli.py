@@ -198,9 +198,13 @@ def train_cmd(config_path, out_checkpoint, out_history, seed, k, lr,
 def _parse_k_sweep(spec):
     lo, _, hi = spec.replace("..", ":").partition(":")
     try:
-        return list(range(int(lo), int(hi) + 1))
+        ks = list(range(int(lo), int(hi) + 1))
     except ValueError:
-        raise ConfigError(f"--k-sweep {spec!r} is not a range like 0..4")
+        ks = []
+    if not ks or ks[0] < 0:
+        raise ConfigError(f"--k-sweep {spec!r} is not a range lo..hi with "
+                          "0 <= lo <= hi, like 0..4")
+    return ks
 
 
 @main.command(name="eval")

@@ -428,7 +428,7 @@ def test_attention_shape_mismatch_raises(shapes):
 
 
 # ---------------------------------------------------------------------------
-# what the tape keeps: saved arrays and the scratch free list
+# what the tape keeps: saved arrays
 
 
 def _saved(node):
@@ -493,11 +493,10 @@ def _default_batch_loss(params, cfg, rng, b=16, k=3):
     return model.direction_loss(pred, rng.normal(size=(b, 2)))
 
 
-def test_default_batch_tape_holds_only_what_backward_reads(monkeypatch):
+def test_default_batch_tape_holds_only_what_backward_reads():
     # Pinned, so that a change which keeps dead activations alive again
     # shows here. When every node held its parents, the same tape held
     # 360,538,672 bytes.
-    monkeypatch.setattr(ad, "_free", [])  # scratch buffers of exact size
     cfg = model.ModelConfig()
     params = model.init_model(cfg, seed=0)
     loss = _default_batch_loss(params, cfg, np.random.default_rng(17))
@@ -505,7 +504,8 @@ def test_default_batch_tape_holds_only_what_backward_reads(monkeypatch):
 
 
 def _scratch_graph(q):
-    """A loss over attention and GELU, the two ops that take scratch."""
+    """A loss over attention and GELU, the two ops that save an array of
+    their own (`probs` and `erf1`)."""
     rng = np.random.default_rng(18)
     k, v = Tensor(rng.normal(size=(2, 5, 4))), Tensor(rng.normal(size=(2, 5, 4)))
     probe = Tensor(rng.normal(size=(2, 3, 4)))
@@ -532,20 +532,20 @@ def test_live_graphs_share_no_scratch():
     np.testing.assert_array_equal(q1.grad, alone)
 
 
-def test_second_step_takes_no_new_scratch(monkeypatch):
-    monkeypatch.setattr(ad, "_free", [])
-    cfg = model.ModelConfig(d=8, image_h=8, image_w=8, n_layers=2, n_heads=2,
-                            d_ff=16, film_hidden=8, gate_hidden=8)
-    params = model.init_model(cfg, seed=0)
+def test_saved_arrays_die_with_their_graph():
+    rng = np.random.default_rng(20)
+    q = _param(rng.normal(size=(2, 3, 4)))
+    loss = _scratch_graph(q)
+    gelu_node = loss._node.parents[0].parents[0]
 
-    def step(params):
-        ad.backward(_default_batch_loss(params, cfg, np.random.default_rng(20),
-                                        b=3))
+    def owner(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return weakref.ref(a)
 
-    step(params)
-    buffers = {id(buf) for buf in ad._free}
-    assert len(buffers) == len(ad._free) > 0
-    step(params)
-    assert {id(buf) for buf in ad._free} == buffers
-    step(model.detach(params))  # tape-free: each buffer is back after its op
-    assert {id(buf) for buf in ad._free} == buffers
+    saved = [owner(_saved(gelu_node)["erf1"]),
+             owner(_saved(gelu_node.parents[0])["probs"])]
+    del gelu_node
+    ad.backward(loss)
+    del loss
+    assert [ref() is None for ref in saved] == [True, True]

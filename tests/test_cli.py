@@ -496,7 +496,8 @@ def test_eval_k_sweep_checkpoint_count_mismatch(data_dir, checkpoint):
 
 @pytest.mark.parametrize("args", [
     ["--synonyms", "notjson"], ["--synonyms", "[[1]]"], ["--k-sweep", "abc"],
-    ["--k", "-1"], ["--synonyms", '["open", "shut"]']])
+    ["--k", "-1"], ["--synonyms", '["open", "shut"]'],
+    ["--k-sweep", "3..1"], ["--k-sweep", "-1..2"]])
 def test_eval_malformed_option_exits_2(data_dir, checkpoint, args):
     result = RUNNER.invoke(main, ["eval", "--data", str(data_dir),
                                   "--checkpoint", str(checkpoint)] + args)
@@ -504,6 +505,10 @@ def test_eval_malformed_option_exits_2(data_dir, checkpoint, args):
     assert isinstance(result.exception, SystemExit)
     assert "error: " in result.output.lower()
     assert "Traceback" not in result.output
+    if args[0] == "--k-sweep":
+        # The error names the range itself, not a checkpoint count.
+        assert f"--k-sweep {args[1]!r}" in result.output
+        assert "checkpoints" not in result.output
 
 
 @pytest.mark.parametrize("manifest", ["{", '{"train": "train.jsonl"}', "[]"])
