@@ -89,12 +89,19 @@ def _make(data, parents, grad_fn):
 # elementwise ops
 
 
-def add(a, b):
+def _binary(ufunc, a, b):
+    """`a` and `b` as Tensors, and `ufunc` of their arrays; raises a
+    DimensionError naming both shapes if they do not broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        out = a.data + b.data
+        return a, b, ufunc(a.data, b.data)
     except ValueError:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+        raise DimensionError(f"{ufunc.__name__}: shapes {a.shape} and "
+                             f"{b.shape} do not broadcast")
+
+
+def add(a, b):
+    a, b, out = _binary(np.add, a, b)
     sa, sb = a.shape, b.shape
 
     def grad_fn(g):
@@ -103,26 +110,8 @@ def add(a, b):
     return _make(out, (a, b), grad_fn)
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-    sa, sb = a.shape, b.shape
-
-    def grad_fn(g):
-        return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
-
-    return _make(out, (a, b), grad_fn)
-
-
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+    a, b, out = _binary(np.multiply, a, b)
     x, y = a.data, b.data
 
     def grad_fn(g):
@@ -132,11 +121,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data / b.data
-    except ValueError:
-        raise DimensionError(f"div: shapes {a.shape} and {b.shape} do not broadcast")
+    a, b, out = _binary(np.divide, a, b)
     x, y = a.data, b.data
 
     def grad_fn(g):

@@ -17,10 +17,11 @@ import numpy as np
 from .errors import AffkitError, ParseError, SchemaError
 
 VERSION = 1
-# Read in 16 MB blocks. Besides fewer read calls, freeing a buffer this
-# large lifts glibc's dynamic mmap threshold above the training tape's
-# largest arrays (10.8 MB at the default config); below it, each train
-# step maps and faults in ~240 MB afresh and runs ~20 % slower.
+# Read in 16 MB blocks. On a 2-core x86-64 host, train steps after a store
+# load faulted 0-2 pages each at 16 MB (one in 16 faulted 3.5k-14k), but
+# up to 8.8k with Python's default buffer and 28.2k with a 64 KB one. Why
+# is unverified: glibc's mmap threshold does not explain it, as the tape's
+# largest array, a 31.9 MB softmax, is larger than the buffer.
 READ_BUFFER = 1 << 24
 
 
@@ -190,19 +191,25 @@ class Record:
         if arr.shape != (size,):
             raise ParseError(f"field {key!r} has shape {arr.shape}, "
                              f"expected ({size},)", line=self.line)
+        return self._finite(key, arr)
+
+    def array(self, key, shape):
+        """Field `key`, a base64 payload of finite float64 values, as an
+        array of `shape`."""
+        if not all(_fits(d, int) and d >= 0 for d in shape):
+            raise ParseError(f"bad shape {shape} for {key!r}", line=self.line)
+        try:
+            arr = _b64decode(self.get(key, str)).view("<f8").reshape(shape)
+        except ValueError as exc:  # not base64, or a size that misfits shape
+            raise ParseError(f"bad {key!r} payload: {exc}", line=self.line)
+        return self._finite(key, arr)
+
+    def _finite(self, key, arr):
+        """`arr`, the value of field `key`, if all of it is finite."""
         if not np.isfinite(arr).all():
             raise ParseError(f"field {key!r} holds a non-finite value",
                              line=self.line)
         return arr
-
-    def array(self, key, shape):
-        """Field `key`, a base64 float64 payload, as an array of `shape`."""
-        if not all(_fits(d, int) and d >= 0 for d in shape):
-            raise ParseError(f"bad shape {shape} for {key!r}", line=self.line)
-        try:
-            return _b64decode(self.get(key, str)).view("<f8").reshape(shape)
-        except ValueError as exc:  # not base64, or a size that misfits shape
-            raise ParseError(f"bad {key!r} payload: {exc}", line=self.line)
 
     def dataclass(self, key, cls):
         """Field `key`, a dict of every field of `cls`, as a `cls`; any error,

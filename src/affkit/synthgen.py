@@ -195,8 +195,8 @@ def generate_split(n_train, n_test, tasks, seed, variant, size=48):
     """Disjoint train/test scenes plus a memory built from train scenes only."""
     if n_train < 1 or n_test < 1:
         raise ConfigError("n_train and n_test must be >= 1")
-    if len(set(tasks)) != len(tasks):
-        raise ConfigError(f"task names must not repeat, got {list(tasks)}")
+    if not tasks or len(set(tasks)) != len(tasks):
+        raise ConfigError(f"tasks must be given and not repeat: {tasks}")
     train, test, views = [], [], []
     for t_idx, task in enumerate(tasks):
         base = seed * 1_000_003 + t_idx * 20_011

@@ -91,7 +91,7 @@ def test_add_incompatible_shapes():
 
 
 @pytest.mark.parametrize("op,a,b", [
-    (ad.sub, (3,), (4,)), (ad.mul, (2, 3), (2,)), (ad.div, (3, 1), (2, 2)),
+    (ad.add, (3,), (4,)), (ad.mul, (2, 3), (2,)), (ad.div, (3, 1), (2, 2)),
     (ad.matmul, (3,), (3, 2))])  # matmul needs both operands 2-D or more
 def test_shape_errors_name_both_shapes(op, a, b):
     with pytest.raises(DimensionError) as exc:
@@ -99,7 +99,7 @@ def test_shape_errors_name_both_shapes(op, a, b):
     assert f"{a} and {b}" in str(exc.value)
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+@pytest.mark.parametrize("op", [ad.add, ad.mul, ad.div])
 def test_elementwise_broadcast_gradcheck(op):
     rng = np.random.default_rng(3)
     params = {"a": _param(rng.normal(size=(2, 3)) + 3.0),
@@ -339,7 +339,7 @@ def test_finite_diff_nonfinite_loss_raises():
     params = {"x": _param(np.ones(2))}
 
     def fn():
-        return ad.sum_(ad.log(ad.sub(params["x"], params["x"])))
+        return ad.sum_(ad.log(ad.add(params["x"], -params["x"].data)))
 
     with np.errstate(divide="ignore"):  # log(0) -> -inf is the point here
         with pytest.raises(NumericError):

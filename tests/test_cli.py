@@ -1,5 +1,6 @@
 """Command-line interface: gen / train / eval / predict."""
 
+import base64
 import json
 
 import numpy as np
@@ -147,6 +148,14 @@ def test_gen_rejects_repeated_task(tmp_path):
                                              "--out", str(tmp_path)])
     assert result.exit_code == 2, result.output
     assert "error: " in result.output and "repeat" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_rejects_empty_task_list(tmp_path):
+    result = RUNNER.invoke(main, GEN_ARGS + ["--tasks", ",",
+                                             "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "error: tasks must be given and not repeat: []" in result.output
     assert not list(tmp_path.iterdir())
 
 
@@ -534,6 +543,25 @@ def test_eval_error_names_the_bad_store(tmp_path, data_dir, checkpoint, name):
                                   "--checkpoint", str(checkpoint)])
     _assert_typed_exit_2(result)
     assert f"error: {data / name}: line 3: bad 'image' payload" in result.output
+
+
+def test_nan_image_exits_2_naming_store_and_line(tmp_path, data_dir,
+                                                 checkpoint):
+    data = _copy_stores(data_dir, tmp_path / "data", ("manifest.json",
+                        "train.jsonl", "test.jsonl", "memory.jsonl"))
+    lines = (data / "test.jsonl").read_text().splitlines()
+    rec = json.loads(lines[2])
+    image = np.frombuffer(base64.b64decode(rec["image"]), "<f8").copy()
+    image[7] = np.nan
+    lines[2] = json.dumps({**rec, "image": store.encode(image)})
+    (data / "test.jsonl").write_text("\n".join(lines) + "\n")
+    for args in (["eval", "--data", str(data)],
+                 ["predict", "--scene", str(data / "test.jsonl"),
+                  "--memory", str(data / "memory.jsonl")]):
+        result = RUNNER.invoke(main, args + ["--checkpoint", str(checkpoint)])
+        _assert_typed_exit_2(result)
+        assert (f"error: {data / 'test.jsonl'}: line 3: field 'image' holds "
+                "a non-finite value") in result.output
 
 
 @pytest.mark.parametrize("args", [

@@ -315,6 +315,7 @@ STORE_CASES = COMMON_CASES + [
     ("direction-inf", _set(1, "direction", [INF, 0.0]), 2),
     ("embedding-nan", _set(1, "embedding", [NAN] + [0.0] * 11), 2),
     ("embedding-inf", _set(1, "embedding", [0.0] * 11 + [INF]), 2),
+    ("image-nan", _nan_payload(1, "image"), 2),
 ]
 MEMORY_CASES = STORE_CASES + [
     ("d_emb-missing", _drop(0, "d_emb"), 1),
@@ -330,6 +331,7 @@ SCENE_CASES = STORE_CASES + [
     ("scene_id-missing", _drop(1, "scene_id"), 2),
     ("scene_id-repeated", _set(2, "scene_id", "open-0"), 3),
     ("depth-7-bytes", _set(1, "depth", SEVEN_BYTES), 2),
+    ("depth-nan", _nan_payload(1, "depth"), 2),
     ("intrinsics-missing", _drop(1, "intrinsics"), 2),
     ("intrinsics-unknown-key", _nested(1, "intrinsics", skew=0.0), 2),
     ("intrinsics-not-number", _nested(1, "intrinsics", fx="2.5"), 2),
