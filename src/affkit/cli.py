@@ -107,7 +107,7 @@ def _synonyms_option(text):
 
 def load_run_config(path, overrides=None):
     """Parse and validate a YAML run configuration. Unknown keys rejected."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
             raw = yaml.safe_load(fh) or {}
         except yaml.YAMLError as exc:
@@ -195,16 +195,20 @@ def train_cmd(config_path, out_checkpoint, out_history, seed, k, lr,
 # eval
 
 
-def _parse_k_sweep(spec):
+def _parse_k_sweep(spec, n_checkpoints):
+    """The Ks of the range `spec`, one per checkpoint, counted first."""
     lo, _, hi = spec.replace("..", ":").partition(":")
     try:
-        ks = list(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
     except ValueError:
-        ks = []
-    if not ks or ks[0] < 0:
+        lo, hi = 0, -1
+    if not 0 <= lo <= hi:
         raise ConfigError(f"--k-sweep {spec!r} is not a range lo..hi with "
                           "0 <= lo <= hi, like 0..4")
-    return ks
+    if hi - lo + 1 != n_checkpoints:
+        raise ConfigError(f"--k-sweep {spec} needs {hi - lo + 1} "
+                          f"checkpoints, got {n_checkpoints}")
+    return range(lo, hi + 1)
 
 
 @main.command(name="eval")
@@ -233,12 +237,9 @@ def eval_cmd(data_dir, checkpoints, k, variant_rule, seeds, k_sweep_spec,
     if k_sweep_spec:
         if seeds is not None:
             raise ConfigError("--seeds does not apply to --k-sweep")
-        ks = _parse_k_sweep(k_sweep_spec)
-        if len(checkpoints) != len(ks):
-            raise ConfigError(f"--k-sweep {k_sweep_spec} needs {len(ks)} "
-                              f"checkpoints, got {len(checkpoints)}")
         rows = []
-        for kk, ck in zip(ks, checkpoints):
+        for kk, ck in zip(_parse_k_sweep(k_sweep_spec, len(checkpoints)),
+                          checkpoints):
             params, cfg = load_checkpoint(ck)
             report = evaluation.evaluate(params, cfg, test_scenes, memory, kk,
                                          synonyms=synonyms,

@@ -17,12 +17,6 @@ import numpy as np
 from .errors import AffkitError, ParseError, SchemaError
 
 VERSION = 1
-# Read in 16 MB blocks. On a 2-core x86-64 host, train steps after a store
-# load faulted 0-2 pages each at 16 MB (one in 16 faulted 3.5k-14k), but
-# up to 8.8k with Python's default buffer and 28.2k with a 64 KB one. Why
-# is unverified: glibc's mmap threshold does not explain it, as the tape's
-# largest array, a 31.9 MB softmax, is larger than the buffer.
-READ_BUFFER = 1 << 24
 
 
 class Base64(str):
@@ -62,7 +56,7 @@ def load(path, fmt):
     of its records, all Records, read one line at a time. A ParseError or
     SchemaError raised in the block names the file."""
     try:
-        with open(path, "rb", buffering=READ_BUFFER) as fh:
+        with open(path, "rb") as fh:
             header = Record(fh.readline(), 1)
             if (header.fields.get("format"), header.fields.get("version")) != (
                     fmt, VERSION):

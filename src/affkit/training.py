@@ -43,9 +43,10 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # Written so that a NaN fails too; lr = 0 is a legal frozen run.
-        if not (self.lr >= 0 and self.improvement_eps >= 0):
-            raise ConfigError(f"lr and improvement_eps must be >= 0, got "
-                              f"{self.lr!r} and {self.improvement_eps!r}")
+        if not (0 <= self.lr < np.inf and 0 <= self.improvement_eps < np.inf):
+            raise ConfigError(f"lr and improvement_eps must be finite and "
+                              f">= 0, got {self.lr!r} and "
+                              f"{self.improvement_eps!r}")
         if not 0 <= self.flip_prob <= 1:
             raise ConfigError(
                 f"flip_prob must be in [0, 1], got {self.flip_prob!r}")

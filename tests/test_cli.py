@@ -339,7 +339,8 @@ def test_train_malformed_config_section_exits_2(tmp_path, data_dir, section):
     {"batch_size": 0}, {"batch_size": -4}, {"episodes_per_query": 0},
     {"lr": -0.1}, {"lr": float("nan")}, {"flip_prob": 7.0},
     {"k": 0, "weighting": "bogus"}, {"seed": -1},
-    {"improvement_eps": float("nan")}, {"improvement_eps": -1e-6}])
+    {"improvement_eps": float("nan")}, {"improvement_eps": -1e-6},
+    {"lr": float("inf")}, {"improvement_eps": float("inf")}])
 def test_train_bad_config_value_exits_2(tmp_path, data_dir, train):
     cfg = _write_config(tmp_path / "run.yaml", data_dir, **train)
     result = RUNNER.invoke(main, ["train", "--config", cfg,
@@ -387,9 +388,12 @@ def test_train_config_root_not_mapping_exits_2(tmp_path):
     assert "config root must be a mapping" in result.output
 
 
-def test_train_config_not_yaml_exits_2(tmp_path):
+@pytest.mark.parametrize("text", [
+    b"data: [\n", b"data: d\ntrain:\n  lr: 1.0e-3\n# \xff\xfe bad\n"],
+    ids=["unclosed", "not-utf8"])
+def test_train_config_not_yaml_exits_2(tmp_path, text):
     cfg = tmp_path / "run.yaml"
-    cfg.write_text("data: [\n")
+    cfg.write_bytes(text)
     result = RUNNER.invoke(main, ["train", "--config", str(cfg),
                                   "--out-checkpoint",
                                   str(tmp_path / "m.ckpt"), "--quiet"])
@@ -496,11 +500,15 @@ def test_eval_empty_split_exits_2(tmp_path, data_dir, checkpoint):
         "eval", "--data", str(empty), "--checkpoint", str(checkpoint)]))
 
 
-def test_eval_k_sweep_checkpoint_count_mismatch(data_dir, checkpoint):
+@pytest.mark.parametrize("spec", ["0..4", "0..100000000000000000000"],
+                         ids=["five", "huge"])
+def test_eval_k_sweep_checkpoint_count_mismatch(data_dir, checkpoint, spec):
     result = RUNNER.invoke(main, ["eval", "--data", str(data_dir),
-                                  "--k-sweep", "0..4",
+                                  "--k-sweep", spec,
                                   "--checkpoint", str(checkpoint)])
-    assert result.exit_code == 2
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "checkpoints" in result.output
 
 
 @pytest.mark.parametrize("args", [

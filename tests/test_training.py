@@ -45,7 +45,8 @@ def test_config_validation():
                 dict(flip_prob=7.0), dict(flip_prob=float("nan")),
                 dict(k=0, weighting="bogus"), dict(seed=-1),
                 dict(improvement_eps=float("nan")),
-                dict(improvement_eps=-1e-6)):
+                dict(improvement_eps=-1e-6), dict(lr=float("inf")),
+                dict(improvement_eps=float("inf"))):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
     TrainConfig(lr=0.0, flip_prob=1.0, batch_size=1, episodes_per_query=1,
