@@ -339,10 +339,11 @@ def layer_norm(x, gain, bias):
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    # np.var's own steps, with x - mean formed once and scaled in place.
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True)
+                        + LAYER_NORM_EPS)
+    xhat *= inv
     gd = gain.data
     out = xhat * gd + bias.data
     red = tuple(range(x.data.ndim - 1))

@@ -45,6 +45,8 @@ def backproject(pixel, depth, intr):
 
 def _candidates(contact, depth_map, radius):
     """Valid-depth (xs, ys, depths) within Chebyshev `radius`, row-major."""
+    if not radius >= 0:  # NaN fails too
+        raise ContractError(f"radius must be >= 0, got {radius!r}")
     if not (abs(contact[0]) < np.inf and abs(contact[1]) < np.inf):
         raise ContractError(f"contact must be finite, got {tuple(contact)}")
     h, w = depth_map.shape
@@ -65,8 +67,6 @@ def lift_contact(contact, depth_map, intr, radius=RADIUS):
     Nearest by pixel-space distance to the (real-valued) contact; ties by
     smaller depth, then row-major index.
     """
-    if radius < 0:
-        raise ContractError("radius must be >= 0")
     xs, ys, zs = _candidates(contact, depth_map, radius)
     if not xs.size:
         raise GeometryError(

@@ -6,6 +6,15 @@ their action vectors and tagged with per-rank ID embeddings; a gated
 cross-attention layer fuses them into the query tokens, weighted by the
 dual (similarity x learned-gate) scheme; a pre-norm transformer encoder
 with a CLS token regresses the raw 2D direction.
+
+The head reads only the CLS row. So when no tape is built (inference),
+the last encoder block takes keys and values from every token but runs
+its query side (queries, attention rows, output projection, LN2, the
+feed-forward and the final norm) for the first two rows only: the CLS
+row, plus one because numpy sends a one-row product to BLAS gemv, which
+rounds differently from gemm; at two rows every output bit matches the
+all-rows block. With the tape on every row is kept, as the backward
+pass's products also round differently at fewer rows.
 """
 
 from dataclasses import dataclass, asdict, fields
@@ -22,6 +31,7 @@ CHECKPOINT_FORMAT = "affkit-checkpoint"
 WEIGHTING_RULES = ("full", "no_gating", "no_similarity", "uniform")
 DEGENERATE_NORM = 1e-12
 WEIGHT_EPS = 1e-8
+TAPE_FREE_ROWS = 2  # query rows of the last block off the tape; see above
 
 
 @dataclass
@@ -253,10 +263,16 @@ def gated_cross_attention(params, cfg, f_q, ref_tokens, w_final):
     return ad.add(f_q, fused)
 
 
-def _encoder_block(params, prefix, cfg, x):
+def _encoder_block(params, prefix, cfg, x, rows=None):
+    """Pre-norm block over (B, T, d) tokens. With `rows`, keys and values
+    still come from all T tokens, but only the first `rows` token rows are
+    attended from and returned, (B, rows, d)."""
     normed = ad.layer_norm(x, params[prefix + "ln1.g"], params[prefix + "ln1.b"])
+    q_in = normed
+    if rows is not None:
+        q_in, x = ad.narrow(normed, 1, 0, rows), ad.narrow(x, 1, 0, rows)
     attn = _multi_head_attention(
-        normed, normed, cfg, params[prefix + "wq"], params[prefix + "wk"],
+        q_in, normed, cfg, params[prefix + "wq"], params[prefix + "wk"],
         params[prefix + "wv"], params[prefix + "wo"], params[prefix + "bo"])
     x = ad.add(x, attn)
     normed = ad.layer_norm(x, params[prefix + "ln2.g"], params[prefix + "ln2.b"])
@@ -302,7 +318,10 @@ def forward_direction(params, cfg, query_images, ref_images, ref_dirs, sims,
     cls = ad.add(params["cls"], Tensor(np.zeros((b, 1, cfg.d))))
     x = ad.concat([cls, fused], axis=1)
     for i in range(cfg.n_layers):
-        x = _encoder_block(params, f"layer{i}.", cfg, x)
+        # Off the tape nothing reads the last block's non-CLS rows.
+        last = i == cfg.n_layers - 1 and not x.requires_grad
+        x = _encoder_block(params, f"layer{i}.", cfg, x,
+                           rows=TAPE_FREE_ROWS if last else None)
     x = ad.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
     cls_out = ad.reshape(ad.narrow(x, 1, 0, 1), (b, cfg.d))
     hidden = ad.gelu(ad.add(ad.matmul(cls_out, params["head.w1"]),

@@ -107,6 +107,13 @@ def test_contact_radius_validation():
         lift_contact((1.0, 1.0), np.ones((3, 3)), INTR, radius=-1)
 
 
+def test_direction_radius_validation():
+    depth = _flat_depth()
+    c3d = lift_contact((50.0, 50.0), depth, INTR)
+    with pytest.raises(ContractError, match="radius"):
+        lift_direction((1.0, 0.0), c3d, (50.0, 50.0), depth, INTR, radius=-1)
+
+
 @pytest.mark.parametrize("contact", [(np.nan, 1.0), (1.0, np.nan),
                                      (np.inf, 1.0), (1.0, -np.inf)])
 def test_nonfinite_contact_rejected(contact):

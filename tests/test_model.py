@@ -457,6 +457,55 @@ def test_predict_matches_forward_and_builds_no_tape(tiny, monkeypatch):
     assert all(p.grad is None for p in params.values())
 
 
+@pytest.fixture(scope="module")
+def default_model():
+    cfg = ModelConfig()
+    return init_model(cfg, seed=0), cfg
+
+
+@pytest.mark.parametrize("rule", model.WEIGHTING_RULES)
+@pytest.mark.parametrize("k", [0, 3])
+def test_predict_bitwise_equals_taped_forward_at_default_config(
+        default_model, k, rule):
+    """The tape-free pass, which runs the last block for two token rows,
+    gives the bits of the taped pass, which runs it for all of them."""
+    params, cfg = default_model
+    rng = np.random.default_rng(22 + k)
+    img = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
+    refs = _refs(rng, cfg, k)
+    taped = forward_direction(params, cfg, img[None],
+                              *(a[None] for a in refs), weighting=rule)
+    assert taped._node is not None
+    raw, _ = predict_direction(params, cfg, img, *refs, weighting=rule)
+    np.testing.assert_array_equal(raw, taped.data[0])
+
+
+def test_last_block_attends_from_two_rows_only_off_the_tape(
+        default_model, monkeypatch):
+    params, cfg = default_model
+    rng = np.random.default_rng(23)
+    img = rng.normal(size=(1, cfg.image_h, cfg.image_w, cfg.channels))
+    refs = [a[None] for a in _refs(rng, cfg, 3)]
+    q_shapes = []
+    attention = ad.attention
+
+    def recording(q, *args, **kwargs):
+        q_shapes.append(q.shape)
+        return attention(q, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "attention", recording)
+    tokens = cfg.n_patches + 1
+    forward_direction(params, cfg, img, *refs)
+    # Cross-attention, then one self-attention per block.
+    assert q_shapes == ([(1, cfg.n_patches, cfg.d)]
+                        + [(1, tokens, cfg.d)] * cfg.n_layers)
+    q_shapes.clear()
+    forward_direction(model.detach(params), cfg, img, *refs)
+    assert q_shapes == ([(1, cfg.n_patches, cfg.d)]
+                        + [(1, tokens, cfg.d)] * (cfg.n_layers - 1)
+                        + [(1, 2, cfg.d)])
+
+
 def test_predict_shape_and_unit_norm(tiny):
     params, cfg = tiny
     rng = np.random.default_rng(14)
