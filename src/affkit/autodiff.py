@@ -2,13 +2,15 @@
 
 A Tensor that requires a gradient carries a tape node: its creation
 index, its `grad_fn`, its parents' nodes and, for a leaf, the leaf Tensor
-that receives `.grad`. `backward` replays the nodes in reverse creation
-order. Each `grad_fn` closes over only the arrays its adjoint reads, so an
-intermediate that no backward reads is freed as soon as its caller drops
-it. Everything is float64 so that analytic gradients can be checked
-against central finite differences.
+that receives `.grad`. A node's consumers are all created after it, so
+`backward`, which pops nodes from a max-heap on the index, replays each
+node after all of its consumers. Each `grad_fn` closes over only the
+arrays its adjoint reads, so an intermediate that no backward reads is
+freed as soon as its caller drops it. Everything is float64 so that
+analytic gradients can be checked against central finite differences.
 """
 
+import heapq
 import itertools
 
 import numpy as np
@@ -362,7 +364,12 @@ def layer_norm(x, gain, bias):
 
 
 def backward(loss):
-    """Accumulate gradients of a scalar `loss` into every requires_grad leaf."""
+    """Accumulate gradients of a scalar `loss` into every requires_grad leaf.
+
+    A node enters the max-heap on its first adjoint and leaves it after
+    every consumer, created later, has added to that adjoint, so nodes
+    run and adjoints are summed in strictly decreasing creation order.
+    """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")
     if loss.data.size != 1:
@@ -371,24 +378,11 @@ def backward(loss):
     if root is None:
         return
 
-    # Reachable subgraph, replayed strictly in reverse creation order.
-    seen = {root}
-    stack = [root]
-    nodes = []
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        for p in node.parents:
-            if p is not None and p not in seen:
-                seen.add(p)
-                stack.append(p)
-    nodes.sort(key=lambda node: node.idx, reverse=True)
-
     adjoint = {root: np.ones_like(loss.data)}
-    for node in nodes:
-        g = adjoint.pop(node, None)
-        if g is None:
-            continue
+    heap = [(-root.idx, root)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        g = adjoint.pop(node)
         if node.grad_fn is None:
             # Only leaves keep a gradient, so every other adjoint is freed
             # once its grad_fn has run. Accumulation allocates, so the
@@ -397,14 +391,14 @@ def backward(loss):
             t = node.leaf
             t.grad = g if t.grad is None else t.grad + g
             continue
-        grads = node.grad_fn(g)
-        for p, gp in zip(node.parents, grads):
+        for p, gp in zip(node.parents, node.grad_fn(g)):
             if p is None:
                 continue
             if p in adjoint:
                 adjoint[p] = adjoint[p] + gp
             else:
                 adjoint[p] = gp
+                heapq.heappush(heap, (-p.idx, p))
 
 
 def zero_grads(params):

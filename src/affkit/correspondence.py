@@ -7,7 +7,8 @@ from .kernels import cosine_rows
 
 
 def best_match_index(features, ref_feature):
-    """Row-major index of the pixel with maximal cosine similarity, or -1."""
+    """Row-major index of the pixel with maximal cosine similarity; a
+    zero-norm reference, or every pixel zero-norm, is a NoCorrespondenceError."""
     flat = np.ascontiguousarray(features, dtype=np.float64).reshape(
         -1, features.shape[-1])
     ref = np.ascontiguousarray(ref_feature, dtype=np.float64)
@@ -15,7 +16,7 @@ def best_match_index(features, ref_feature):
         raise NoCorrespondenceError("reference contact feature has zero norm")
     sims = cosine_rows(flat, ref)
     if not np.isfinite(sims).any():
-        return -1
+        raise NoCorrespondenceError("every query pixel has zero-norm features")
     return int(np.argmax(sims))  # first max == smallest row-major index
 
 
@@ -42,7 +43,5 @@ def transfer_contact(ref_map, ref_contact, query_map):
         raise ContractError("empty feature map")
     ref_feature = reference_contact_feature(ref_map, ref_contact)
     idx = best_match_index(query_map, ref_feature)
-    if idx < 0:
-        raise NoCorrespondenceError("every query pixel has zero-norm features")
     w = query_map.shape[1]
     return (idx % w, idx // w)

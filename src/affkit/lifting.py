@@ -34,13 +34,14 @@ class Affordance3D:
 
 
 def backproject(pixel, depth, intr):
-    """Pinhole backprojection of pixel (u, v) at depth Z (camera frame)."""
-    if depth <= 0:
+    """Pinhole backprojection of pixel (u, v) at depth Z (camera frame);
+    scalars give three floats, equal-length arrays give three arrays."""
+    if not np.all(depth > 0):  # NaN fails too
         raise ContractError(f"depth must be positive, got {depth}")
     u, v = pixel
     return ((u - intr.cx) * depth / intr.fx,
             (v - intr.cy) * depth / intr.fy,
-            float(depth))
+            1.0 * depth)  # a float for an int depth
 
 
 def _candidates(contact, depth_map, radius):
@@ -114,9 +115,7 @@ def lift_direction(direction2d, contact3d, contact2d, depth_map, intr,
 
     xs, ys, zs = _candidates(contact2d, depth_map, radius)
     if xs.size >= 3:
-        # backproject's operations, in its order, on the whole window.
-        cloud = np.stack([(xs - intr.cx) * zs / intr.fx,
-                          (ys - intr.cy) * zs / intr.fy, zs], axis=1)
+        cloud = np.stack(backproject((xs, ys), zs, intr), axis=1)
         normal, offset = _fit_plane(cloud)
     else:
         normal, offset = np.array([0.0, 0.0, 1.0]), float(contact3d[2])

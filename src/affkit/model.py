@@ -345,13 +345,17 @@ def predict_direction(params, cfg, query_image, ref_images, ref_dirs, sims,
     References as forward_direction's for one query, (K, ...). Returns
     (raw (2,), unit (2,) or None); unit is None when the raw norm is
     degenerate (< 1e-12), which evaluation scores as a 180-degree error.
+    A raw norm that is NaN or overflows is a NumericError.
     """
     out = forward_direction(detach(params), cfg, np.asarray(query_image)[None],
                             np.asarray(ref_images)[None],
                             np.asarray(ref_dirs)[None], np.asarray(sims)[None],
                             weighting=weighting)
     raw = out.data[0].copy()
-    norm = np.linalg.norm(raw)
+    with np.errstate(over="ignore"):  # an overflowed norm is raised below
+        norm = np.linalg.norm(raw)
+    if not np.isfinite(norm):
+        raise NumericError(f"direction prediction {raw.tolist()} has norm {norm}")
     unit = raw / norm if norm >= DEGENERATE_NORM else None
     return raw, unit
 

@@ -285,6 +285,15 @@ def test_backward_keeps_gradients_on_leaves_only():
     assert y.grad is None
 
 
+def test_backward_sums_adjoints_in_reverse_creation_order():
+    # The reverse-creation sum (-1e16 + 1e16) + 1.0 is 1.0; adding the 1.0
+    # contribution first gives (1.0 + 1e16) - 1e16 = 0.0.
+    x = _param(2.0)
+    terms = [ad.mul(x, c) for c in (1.0, 1e16, -1e16)]
+    ad.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
+    assert x.grad == 1.0
+
+
 def test_backward_bitwise_deterministic():
     rng = np.random.default_rng(10)
     params = {"w": _param(rng.normal(size=(4, 4))),
@@ -501,6 +510,37 @@ def test_default_batch_tape_holds_only_what_backward_reads():
     params = model.init_model(cfg, seed=0)
     loss = _default_batch_loss(params, cfg, np.random.default_rng(17))
     assert sum(_held_buffers(loss, params).values()) == 264_186_656
+
+
+def test_backward_runs_each_reachable_node_once_in_decreasing_index(
+        monkeypatch):
+    ran = []
+
+    class RecordedNode(ad._Node):
+        __slots__ = ()
+
+        def __init__(self, idx, grad_fn, parents, leaf):
+            if grad_fn is not None:
+                def recorded(g, grad_fn=grad_fn):
+                    ran.append(idx)
+                    return grad_fn(g)
+                grad_fn = recorded
+            super().__init__(idx, grad_fn, parents, leaf)
+
+    cfg = model.ModelConfig()
+    params = model.init_model(cfg, seed=0)
+    monkeypatch.setattr(ad, "_Node", RecordedNode)
+    loss = _default_batch_loss(params, cfg, np.random.default_rng(19))
+    reachable, stack = set(), [loss._node]
+    while stack:
+        node = stack.pop()
+        if node is not None and node not in reachable:
+            reachable.add(node)
+            stack.extend(node.parents)
+    ad.backward(loss)
+    assert ran == sorted((n.idx for n in reachable if n.grad_fn is not None),
+                         reverse=True)
+    assert all(n.leaf.grad is not None for n in reachable if n.leaf is not None)
 
 
 def _scratch_graph(q):

@@ -649,6 +649,25 @@ def test_predict_lift_degenerate_direction_exits_3(tmp_path, data_dir,
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_overflowing_prediction_exits_3(tmp_path, data_dir, checkpoint,
+                                        command):
+    # Finite parameters, so the checkpoint loads; the raw norm overflows.
+    params, cfg = load_checkpoint(str(checkpoint))
+    params["head.b2"].data[:] = [1e200, 0.0]
+    huge = tmp_path / "huge.ckpt"
+    save_checkpoint(params, cfg, str(huge))
+    args = {"predict": ["--scene", str(data_dir / "test.jsonl"),
+                        "--memory", str(data_dir / "memory.jsonl")],
+            "eval": ["--data", str(data_dir), "--out",
+                     str(tmp_path / "report.json")]}[command]
+    result = RUNNER.invoke(main, [command, "--checkpoint", str(huge)] + args)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: direction prediction" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_predict_k0_still_runs(data_dir, checkpoint):
     result = RUNNER.invoke(main, ["predict", "--checkpoint", str(checkpoint),
                                   "--scene", str(data_dir / "test.jsonl"),

@@ -85,8 +85,10 @@ def test_zero_reference_feature_raises():
 
 def test_all_zero_query_raises():
     ref = _map_with_peak(5, 5, 2, (2, 2))
-    with pytest.raises(NoCorrespondenceError):
+    with pytest.raises(NoCorrespondenceError, match="every query pixel"):
         transfer_contact(ref, (2, 2), np.zeros((5, 5, 2)))
+    with pytest.raises(NoCorrespondenceError, match="every query pixel"):
+        best_match_index(np.zeros((5, 5, 2)), np.ones(2))
 
 
 def test_channel_mismatch():

@@ -36,11 +36,15 @@ def test_principal_ray():
 
 def test_backproject_hand_formula():
     assert backproject((150.0, 50.0), 2.0, INTR) == (2.0, 0.0, 2.0)
+    point = backproject((150, 50), 2, INTR)  # ints in, floats out
+    assert point == (2.0, 0.0, 2.0) and all(type(c) is float for c in point)
 
 
 def test_backproject_rejects_nonpositive_depth():
     with pytest.raises(ContractError):
         backproject((10.0, 10.0), 0.0, INTR)
+    with pytest.raises(ContractError):
+        backproject((10.0, 10.0), float("nan"), INTR)
 
 
 @given(st.floats(0, 99), st.floats(0, 99), st.floats(0.1, 50))

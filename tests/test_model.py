@@ -516,6 +516,17 @@ def test_predict_shape_and_unit_norm(tiny):
     assert abs(np.linalg.norm(unit) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("b2", [[1e200, 0.0], [np.inf, 0.0], [np.nan, 0.0]])
+def test_predict_nonfinite_norm_raises(tiny, b2):
+    """A raw prediction whose norm overflows or is NaN has no unit vector."""
+    params, cfg = tiny
+    params = dict(params, **{"head.b2": Tensor(np.array(b2))})
+    rng = np.random.default_rng(14)
+    img = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
+    with pytest.raises(NumericError, match="norm"):
+        predict_direction(params, cfg, img, *_refs(rng, cfg, 3))
+
+
 def test_predict_deterministic(tiny):
     params, cfg = tiny
     rng = np.random.default_rng(15)
