@@ -19,12 +19,11 @@ from .errors import (AffkitError, ConfigError, GeometryError, LeakageError,
                      NoCorrespondenceError, NumericError, ParseError,
                      TrainingAbort)
 from . import evaluation, store, synthgen
-from .correspondence import transfer_contact
 from .lifting import lift_affordance
 from .memory import Affordance2D, load_memory, save_memory
 from .model import (WEIGHTING_RULES, ModelConfig, init_model,
-                    load_checkpoint, predict_direction, save_checkpoint)
-from .retrieval import TaskSynonymTable, retrieve
+                    load_checkpoint, save_checkpoint)
+from .retrieval import TaskSynonymTable
 from .training import TrainConfig, build_episodes, save_history, train
 
 EXIT_CONFIG, EXIT_NUMERIC, EXIT_LEAKAGE, EXIT_GEOMETRY = 2, 3, 4, 5
@@ -312,17 +311,8 @@ def predict(checkpoint, scene_path, index, memory_path, k, variant_rule,
     memory = load_memory(memory_path)
     synonyms = _synonyms_option(synonyms_json)
 
-    top = retrieve(memory, scene, max(k, 1), synonyms, exclude=scene.scene_id)
-
-    contact = None
-    if len(top) > 0:
-        ref_entry = top.entries[0][1]
-        contact = transfer_contact(ref_entry.image,
-                                   ref_entry.affordance.contact, scene.image)
-
-    raw, unit = predict_direction(params, cfg, scene.image,
-                                  *memory.references(top.indices[:k]),
-                                  top.similarities[:k], weighting=variant_rule)
+    contact, raw, unit = evaluation.answer(params, cfg, scene, memory, k,
+                                           synonyms, weighting=variant_rule)
 
     result = {"scene_id": scene.scene_id, "task": scene.task,
               "contact_px": list(contact) if contact else None,

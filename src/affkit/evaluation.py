@@ -1,10 +1,12 @@
-"""Angular-error metric, evaluation harness, ablation rules, K-sweep output."""
+"""Query path `answer`, angular-error metric, eval harness, K-sweep output."""
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import correspondence
 from .errors import ContractError, LeakageError
 from .model import ablation, detach, predict_direction
 from .retrieval import retrieve
@@ -31,6 +33,8 @@ class SampleRecord:
     ground_truth: tuple
     error_deg: float
     degenerate: bool = False
+    contact: tuple = None  # (x, y) pixel, or None if retrieval is empty
+    contact_err_px: float = None  # its distance from the true contact
 
 
 @dataclass
@@ -45,17 +49,33 @@ class EvalReport:
             fh.write(json.dumps(asdict(self), indent=2) + "\n")
 
 
+def answer(params, cfg, scene, memory, k, synonyms=None, weighting="full"):
+    """One query: (contact, raw, unit). The contact is transferred from the
+    top-1 reference (None if retrieval is empty), the direction predicted
+    from the top k; the query's own id is never retrieved."""
+    if k < 0:
+        raise ContractError(f"k must be >= 0, got {k}")
+    top = retrieve(memory, scene, max(k, 1), synonyms, exclude=scene.scene_id)
+    contact = None
+    if top.entries:
+        _, ref, _ = top.entries[0]
+        contact = correspondence.transfer_contact(
+            ref.image, ref.affordance.contact, scene.image)
+    raw, unit = predict_direction(params, cfg, scene.image,
+                                  *memory.references(top.indices[:k]),
+                                  top.similarities[:k], weighting=weighting)
+    return contact, raw, unit
+
+
 def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
              weighting="full", metadata=None):
-    """Per-query retrieval + direction prediction + MAE.
+    """`answer` per query, scored: direction MAE and contact pixel error.
 
     Raises LeakageError if any test scene id appears in the memory, and
     ContractError if there are no test scenes or k < 0. Degenerate
     (near-zero raw) predictions score 180 degrees.
     """
     ablation(weighting)
-    if k < 0:
-        raise ContractError(f"k must be >= 0, got {k}")
     if not test_scenes:
         raise ContractError("no test scenes to evaluate")
     memory_ids = {e.source_id for e in memory.entries if e.source_id}
@@ -68,18 +88,15 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
     params = detach(params)
     records = []
     for scene in sorted(test_scenes, key=lambda s: s.scene_id):
-        hits = retrieve(memory, scene, k, synonyms)
-        _, unit = predict_direction(params, cfg, scene.image,
-                                    *memory.references(hits.indices),
-                                    hits.similarities, weighting=weighting)
-        if unit is None:
-            err = DEGENERATE_ERROR_DEG
-            records.append(SampleRecord(scene.scene_id, scene.task, None,
-                                        scene.direction, err, degenerate=True))
-        else:
-            err = mae(unit, scene.direction)
-            records.append(SampleRecord(scene.scene_id, scene.task,
-                                        tuple(unit), scene.direction, err))
+        contact, _, unit = answer(params, cfg, scene, memory, k, synonyms,
+                                  weighting)
+        degenerate = unit is None
+        records.append(SampleRecord(
+            scene.scene_id, scene.task, None if degenerate else tuple(unit),
+            scene.direction,
+            DEGENERATE_ERROR_DEG if degenerate else mae(unit, scene.direction),
+            degenerate, contact, None if contact is None else math.hypot(
+                contact[0] - scene.contact[0], contact[1] - scene.contact[1])))
 
     per_task = {}
     for rec in records:

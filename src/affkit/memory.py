@@ -94,18 +94,8 @@ class Memory:
                 dirs.reshape(indices.shape + (2,)))
 
 
-class InvalidTrajectory:
-    """Sentinel for trajectories with no usable dominant orientation."""
-
-    def __repr__(self):
-        return "InvalidTrajectory"
-
-
-INVALID = InvalidTrajectory()
-
-
 def reduce_trajectory(points):
-    """Dominant motion direction of a 2D trajectory, or INVALID: the first
+    """Dominant motion direction of a 2D trajectory, or None: the first
     principal component, its sign fixed by the net displacement."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
@@ -115,12 +105,12 @@ def reduce_trajectory(points):
 
     disp = pts[-1] - pts[0]
     if np.linalg.norm(disp) < DEGENERATE_EPS:
-        return INVALID
+        return None
 
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / pts.shape[0]
     if np.linalg.norm(cov) < DEGENERATE_EPS ** 2:
-        return INVALID
+        return None
     evals, evecs = np.linalg.eigh(cov)
     axis = evecs[:, np.argmax(evals)]
     if axis @ disp < 0:
@@ -145,7 +135,7 @@ def build_memory(samples):
             aff = annotation
         else:
             direction = reduce_trajectory(annotation)
-            if direction is INVALID:
+            if direction is None:
                 continue
             contact = tuple(np.asarray(annotation, dtype=np.float64)[0])
             aff = Affordance2D(contact=contact, direction=direction)

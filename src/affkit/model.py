@@ -347,12 +347,14 @@ def predict_direction(params, cfg, query_image, ref_images, ref_dirs, sims,
     degenerate (< 1e-12), which evaluation scores as a 180-degree error.
     A raw norm that is NaN or overflows is a NumericError.
     """
-    out = forward_direction(detach(params), cfg, np.asarray(query_image)[None],
-                            np.asarray(ref_images)[None],
-                            np.asarray(ref_dirs)[None], np.asarray(sims)[None],
-                            weighting=weighting)
-    raw = out.data[0].copy()
-    with np.errstate(over="ignore"):  # an overflowed norm is raised below
+    # Finite parameters can overflow on the way; the norm check below
+    # raises that as a NumericError, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = forward_direction(
+            detach(params), cfg, np.asarray(query_image)[None],
+            np.asarray(ref_images)[None], np.asarray(ref_dirs)[None],
+            np.asarray(sims)[None], weighting=weighting)
+        raw = out.data[0].copy()
         norm = np.linalg.norm(raw)
     if not np.isfinite(norm):
         raise NumericError(f"direction prediction {raw.tolist()} has norm {norm}")

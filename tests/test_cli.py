@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 from affkit import store
 from affkit.cli import main
+from affkit.evaluation import evaluate
+from affkit.memory import load_memory
 from affkit.model import (ModelConfig, init_model, load_checkpoint,
                           save_checkpoint)
 from affkit.synthgen import load_scenes
@@ -602,6 +604,26 @@ def test_predict_contact_exact_on_noiseless(data_dir, checkpoint):
     assert np.linalg.norm(payload["direction"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [0, 2])
+def test_predict_matches_eval_record(data_dir, checkpoint, k):
+    """predict and eval answer a scene through one path, to the bit."""
+    scenes, _ = load_scenes(data_dir / "test.jsonl")
+    params, cfg = load_checkpoint(str(checkpoint))
+    report = evaluate(params, cfg, scenes,
+                      load_memory(str(data_dir / "memory.jsonl")), k)
+    records = {rec.query_id: rec for rec in report.records}
+    for index, scene in enumerate(scenes):
+        result = RUNNER.invoke(main, [
+            "predict", "--checkpoint", str(checkpoint),
+            "--scene", str(data_dir / "test.jsonl"), "--index", str(index),
+            "--memory", str(data_dir / "memory.jsonl"), "--k", str(k)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output.splitlines()[0])
+        rec = records[scene.scene_id]
+        assert payload["contact_px"] == list(rec.contact)
+        assert payload["direction"] == list(rec.predicted)
+
+
 def test_predict_lift_on_flat_depth(data_dir, checkpoint):
     result = RUNNER.invoke(main, ["predict", "--checkpoint", str(checkpoint),
                                   "--scene", str(data_dir / "test.jsonl"),
@@ -652,20 +674,27 @@ def test_predict_lift_degenerate_direction_exits_3(tmp_path, data_dir,
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_overflowing_prediction_exits_3(tmp_path, data_dir, checkpoint,
                                         command):
-    # Finite parameters, so the checkpoint loads; the raw norm overflows.
-    params, cfg = load_checkpoint(str(checkpoint))
-    params["head.b2"].data[:] = [1e200, 0.0]
-    huge = tmp_path / "huge.ckpt"
-    save_checkpoint(params, cfg, str(huge))
+    # Finite parameters, so the checkpoint loads; the raw norm overflows,
+    # with only the output bias, or already inside the forward pass, where
+    # numpy must not warn about it.
     args = {"predict": ["--scene", str(data_dir / "test.jsonl"),
                         "--memory", str(data_dir / "memory.jsonl")],
             "eval": ["--data", str(data_dir), "--out",
                      str(tmp_path / "report.json")]}[command]
-    result = RUNNER.invoke(main, [command, "--checkpoint", str(huge)] + args)
-    assert result.exit_code == 3, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "error: direction prediction" in result.output
-    assert "Traceback" not in result.output
+    for edits in ({"head.b2": [1e200, 0.0]},
+                  {"head.w2": 1e308, "head.b1": 50.0}):
+        params, cfg = load_checkpoint(str(checkpoint))
+        for name, value in edits.items():
+            params[name].data[:] = value
+        huge = tmp_path / "huge.ckpt"
+        save_checkpoint(params, cfg, str(huge))
+        result = RUNNER.invoke(main,
+                               [command, "--checkpoint", str(huge)] + args)
+        assert result.exit_code == 3, (edits, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert "error: direction prediction" in result.output
+        assert "Traceback" not in result.output
+        assert "RuntimeWarning" not in result.output
 
 
 def test_predict_k0_still_runs(data_dir, checkpoint):

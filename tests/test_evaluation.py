@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import affkit.evaluation as evaluation
+from affkit.correspondence import transfer_contact
 from affkit.errors import ConfigError, ContractError, LeakageError
 from affkit.evaluation import (EvalReport, ablation, evaluate, mae,
                                save_sweep)
 from affkit.memory import Affordance2D, Memory, MemoryEntry
 from affkit.model import ModelConfig, init_model, predict_direction
+from affkit.retrieval import cosine_topk, filter_by_task
 from affkit.synthgen import generate_split, get_variant
 
 
@@ -201,6 +203,58 @@ def test_report_json_roundtrips(small_split, tmp_path):
     payload = json.loads(path.read_text())
     assert payload["overall"] == report.overall
     assert len(payload["records"]) == len(report.records)
+    for rec, row in zip(report.records, payload["records"]):
+        assert row["contact"] == list(rec.contact)
+        assert row["contact_err_px"] == rec.contact_err_px
+
+
+# ---------------------------------------------------------------------------
+# contact fields
+
+
+def test_contact_is_top1_transfer_on_noisy_split():
+    """Each record's contact is the top-1 cosine reference's transfer, the
+    pipeline of perfbench's `contact` workload, and its error the pixel
+    distance to the true contact."""
+    _, test_scenes, memory = generate_split(6, 4, ("open", "close"), seed=3,
+                                            variant=get_variant("noisy"),
+                                            size=16)
+    report = evaluate(init_model(TINY, seed=0), TINY, test_scenes, memory,
+                      k=2)
+    scenes = {s.scene_id: s for s in test_scenes}
+    for rec in report.records:
+        scene = scenes[rec.query_id]
+        hits = cosine_topk(scene.embedding, memory,
+                           filter_by_task(memory, scene.task), k=1,
+                           exclude=scene.scene_id)
+        _, ref, _ = hits.entries[0]
+        x, y = transfer_contact(ref.image, ref.affordance.contact,
+                                scene.image)
+        assert rec.contact == (x, y)
+        assert rec.contact_err_px == math.hypot(x - scene.contact[0],
+                                                y - scene.contact[1])
+    assert any(rec.contact_err_px > 0.0 for rec in report.records)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_contact_exact_on_noiseless_split(small_split, k):
+    _, test_scenes, memory = small_split
+    report = evaluate(init_model(TINY, seed=0), TINY, test_scenes, memory, k)
+    assert [r.contact_err_px for r in report.records] == [0.0] * len(
+        test_scenes)
+
+
+def test_contact_fields_none_without_retrieval(small_split):
+    _, test_scenes, memory = small_split
+    close_only = Memory(entries=[e for e in memory.entries
+                                 if e.task == "close"], d_emb=memory.d_emb)
+    report = evaluate(init_model(TINY, seed=0), TINY, test_scenes, close_only,
+                      k=2)
+    for rec in report.records:
+        retrieved = rec.task == "close"
+        assert (rec.contact is not None) == retrieved
+        assert (rec.contact_err_px is not None) == retrieved
+    assert {r.task for r in report.records} == {"open", "close"}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from affkit.errors import (ContractError, EmptyMemoryError, ParseError,
                            SchemaError)
-from affkit.memory import (INVALID, Affordance2D, Memory, MemoryEntry,
+from affkit.memory import (Affordance2D, Memory, MemoryEntry,
                            build_memory, load_memory, normalize_task,
                            reduce_trajectory, save_memory)
 from affkit.retrieval import cosine_topk, filter_by_task
@@ -67,12 +67,12 @@ def test_reduce_collinear():
 
 
 def test_reduce_degenerate_returns_invalid():
-    assert reduce_trajectory([(0, 0), (0, 0)]) is INVALID
+    assert reduce_trajectory([(0, 0), (0, 0)]) is None
 
 
 def test_reduce_closed_loop_returns_invalid():
     # Finite spread but zero net displacement.
-    assert reduce_trajectory([(0, 0), (1, 0), (1, 1), (0, 0)]) is INVALID
+    assert reduce_trajectory([(0, 0), (1, 0), (1, 1), (0, 0)]) is None
 
 
 def test_reduce_matches_pca_oracle():
@@ -104,7 +104,7 @@ def test_reduce_output_is_unit(seed, scale_factor):
     rng = np.random.default_rng(seed)
     pts = np.cumsum(rng.normal(size=(6, 2)), axis=0) * scale_factor
     out = reduce_trajectory(pts)
-    if out is not INVALID:
+    if out is not None:
         assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
