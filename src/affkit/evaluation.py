@@ -55,7 +55,7 @@ def answer(params, cfg, scene, memory, k, synonyms=None, weighting="full"):
     from the top k; the query's own id is never retrieved."""
     if k < 0:
         raise ContractError(f"k must be >= 0, got {k}")
-    top = retrieve(memory, scene, max(k, 1), synonyms, exclude=scene.scene_id)
+    top = retrieve(memory, scene, max(k, 1), synonyms)
     contact = None
     if top.entries:
         _, ref, _ = top.entries[0]

@@ -17,6 +17,7 @@ all-rows block. With the tape on every row is kept, as the backward
 pass's products also round differently at fewer rows.
 """
 
+import itertools
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -69,60 +70,58 @@ class ModelConfig:
         return self.patch_size * self.patch_size * self.channels
 
 
+def param_specs(cfg):
+    """(name, shape, init) of each parameter, in the order `init_model`
+    draws them. init is "w" (normal, std 1/sqrt(shape[0]), the fan-in),
+    "small" (normal, std 0.02), "zeros" or "ones"."""
+    d, dff = cfg.d, cfg.d_ff
+    yield "enc.w", (cfg.patch_dim, d), "w"
+    yield "enc.b", (d,), "zeros"
+    yield "enc.pos", (cfg.n_patches, d), "small"
+    yield "film.w1", (2, cfg.film_hidden), "w"
+    yield "film.b1", (cfg.film_hidden,), "zeros"
+    # Zero-init so modulation starts at identity (gamma=1, beta=0).
+    yield "film.w2", (cfg.film_hidden, 2 * d), "zeros"
+    yield "film.b2", (2 * d,), "zeros"
+    yield "eref", (cfg.k_max, d), "small"
+    yield "gate.w1", (2 * d, cfg.gate_hidden), "w"
+    yield "gate.b1", (cfg.gate_hidden,), "zeros"
+    yield "gate.w2", (cfg.gate_hidden, 1), "w"
+    yield "gate.b2", (1,), "zeros"
+    yield "cls", (1, 1, d), "small"
+    yield "head.w1", (d, d), "w"
+    yield "head.b1", (d,), "zeros"
+    yield "head.w2", (d, 2), "w"
+    yield "head.b2", (2,), "zeros"
+    yield "final_ln.g", (d,), "ones"
+    yield "final_ln.b", (d,), "zeros"
+    for name in ("xattn.wq", "xattn.wk", "xattn.wv", "xattn.wo"):
+        yield name, (d, d), "w"
+    yield "xattn.bo", (d,), "zeros"
+    for i in range(cfg.n_layers):
+        p = f"layer{i}."
+        yield p + "ln1.g", (d,), "ones"
+        yield p + "ln1.b", (d,), "zeros"
+        for name in ("wq", "wk", "wv", "wo"):
+            yield p + name, (d, d), "w"
+        yield p + "bo", (d,), "zeros"
+        yield p + "ln2.g", (d,), "ones"
+        yield p + "ln2.b", (d,), "zeros"
+        yield p + "ff.w1", (d, dff), "w"
+        yield p + "ff.b1", (dff,), "zeros"
+        yield p + "ff.w2", (dff, d), "w"
+        yield p + "ff.b2", (d,), "zeros"
+
+
 def init_model(cfg, seed=0):
     """Freshly initialized parameter dict (name -> requires_grad Tensor)."""
     rng = np.random.default_rng(seed)
-
-    def w(fan_in, *shape):
-        return Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape),
-                      requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def small(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True)
-
-    d, dff = cfg.d, cfg.d_ff
-    params = {
-        "enc.w": w(cfg.patch_dim, cfg.patch_dim, d),
-        "enc.b": zeros(d),
-        "enc.pos": small(cfg.n_patches, d),
-        "film.w1": w(2, 2, cfg.film_hidden),
-        "film.b1": zeros(cfg.film_hidden),
-        # Zero-init so modulation starts at identity (gamma=1, beta=0).
-        "film.w2": zeros(cfg.film_hidden, 2 * d),
-        "film.b2": zeros(2 * d),
-        "eref": small(cfg.k_max, d),
-        "gate.w1": w(2 * d, 2 * d, cfg.gate_hidden),
-        "gate.b1": zeros(cfg.gate_hidden),
-        "gate.w2": w(cfg.gate_hidden, cfg.gate_hidden, 1),
-        "gate.b2": zeros(1),
-        "cls": small(1, 1, d),
-        "head.w1": w(d, d, d),
-        "head.b1": zeros(d),
-        "head.w2": w(d, d, 2),
-        "head.b2": zeros(2),
-        "final_ln.g": Tensor(np.ones(d), requires_grad=True),
-        "final_ln.b": zeros(d),
-    }
-    for name in ("xattn.wq", "xattn.wk", "xattn.wv", "xattn.wo"):
-        params[name] = w(d, d, d)
-    params["xattn.bo"] = zeros(d)
-    for i in range(cfg.n_layers):
-        p = f"layer{i}."
-        params[p + "ln1.g"] = Tensor(np.ones(d), requires_grad=True)
-        params[p + "ln1.b"] = zeros(d)
-        for name in ("wq", "wk", "wv", "wo"):
-            params[p + name] = w(d, d, d)
-        params[p + "bo"] = zeros(d)
-        params[p + "ln2.g"] = Tensor(np.ones(d), requires_grad=True)
-        params[p + "ln2.b"] = zeros(d)
-        params[p + "ff.w1"] = w(d, d, dff)
-        params[p + "ff.b1"] = zeros(dff)
-        params[p + "ff.w2"] = w(dff, dff, d)
-        params[p + "ff.b2"] = zeros(d)
-    return params
+    draw = {"w": lambda shape: rng.normal(0.0, 1.0 / np.sqrt(shape[0]),
+                                          size=shape),
+            "small": lambda shape: rng.normal(0.0, 0.02, size=shape),
+            "zeros": np.zeros, "ones": np.ones}
+    return {name: Tensor(draw[init](shape), requires_grad=True)
+            for name, shape, init in param_specs(cfg)}
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +380,24 @@ def save_checkpoint(params, cfg, path):
 
 def load_checkpoint(path):
     """(params, cfg) from a checkpoint that holds each parameter of
-    `init_model(cfg)` once, at its shape."""
+    `param_specs(cfg)` once, at its shape. Each payload is decoded at the
+    shape its record names and checked against the config only once all
+    are read, so no header can make it build more than the file holds."""
     with store.load(path, CHECKPOINT_FORMAT) as (header, records):
         cfg = header.dataclass("config", ModelConfig)
-        params, loaded = init_model(cfg), set()
-        for rec in records:
-            name = rec.get("name", str)
-            if (name in loaded or name not in params
-                    or rec.get("shape", list) != list(params[name].shape)):
+        found = [(rec.line, rec.get("name", str),
+                  rec.array("data", rec.get("shape", list)))
+                 for rec in records]
+        # n_layers is unbounded, so walk the layout no further than the file.
+        layout = {name: shape for name, shape, _ in
+                  itertools.islice(param_specs(cfg), len(found) + 1)}
+        missing = sorted(set(layout) - {name for _, name, _ in found})
+        if len(layout) > len(found):
+            raise SchemaError(f"checkpoint lacks {missing}")
+        params = {}
+        for line, name, data in found:
+            if name in params or layout.get(name) != data.shape:
                 raise ParseError(f"unexpected or repeated parameter {name!r}",
-                                 line=rec.line)
-            params[name].data = rec.array("data", params[name].shape)
-            loaded.add(name)
-        if loaded != set(params):
-            raise SchemaError(
-                f"checkpoint lacks {sorted(set(params) - loaded)}")
-    return params, cfg
+                                 line=line)
+            params[name] = Tensor(data, requires_grad=True)
+    return {name: params[name] for name in layout}, cfg

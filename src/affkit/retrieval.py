@@ -75,17 +75,17 @@ def cosine_topk(query_embedding, memory, subset, k, exclude=None):
     `exclude` is a source_id removed before ranking (prevents self-retrieval).
     Zero-norm embeddings are never retrieved. Ties break on lower memory index.
     """
+    q = np.asarray(query_embedding, dtype=np.float64)
+    if q.shape != (memory.d_emb,):
+        raise SchemaError(f"embedding dim mismatch: query of shape {q.shape}, "
+                          f"memory {memory.d_emb}")
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    q = np.asarray(query_embedding, dtype=np.float64)
     candidates = np.asarray(subset, dtype=np.intp)
     if exclude is not None:
         candidates = candidates[memory.source_ids[candidates] != exclude]
     if not candidates.size:
         return RetrievalResult(entries=[])
-    if memory.d_emb != q.shape[0]:
-        raise SchemaError(
-            f"embedding dim mismatch: query {q.shape[0]}, memory {memory.d_emb}")
 
     sims = cosine_rows(memory.embeddings[candidates], q)
     # Order by (similarity desc, memory index asc); drop unreachable entries.
@@ -96,9 +96,8 @@ def cosine_topk(query_embedding, memory, subset, k, exclude=None):
         for i, s in zip(candidates[order].tolist(), sims[order].tolist())])
 
 
-def retrieve(memory, query, k, synonyms=None, exclude=None):
-    """Task filter, then cosine top-k, for a query Scene; k = 0 gets nothing."""
-    if k == 0:
-        return RetrievalResult()
+def retrieve(memory, query, k, synonyms=None):
+    """Task filter, then cosine top-k (k >= 1) for a Scene, itself excluded."""
     subset = filter_by_task(memory, query.task, synonyms)
-    return cosine_topk(query.embedding, memory, subset, k, exclude=exclude)
+    return cosine_topk(query.embedding, memory, subset, k,
+                       exclude=query.scene_id)

@@ -67,9 +67,9 @@ def build_episodes(train_scenes, memory, synonyms, cfg):
     rng = np.random.default_rng(cfg.seed)
     episodes = []
     for scene in train_scenes:
+        ids, pool_sims = [], []  # K = 0 samples from an empty pool
         if cfg.k > 0:
-            pool = retrieve(memory, scene, cfg.candidate_pool_size, synonyms,
-                            exclude=scene.scene_id)
+            pool = retrieve(memory, scene, cfg.candidate_pool_size, synonyms)
             if len(pool) == 0:
                 warnings.warn(f"query {scene.scene_id}: empty candidate pool, "
                               "skipping")
@@ -79,17 +79,13 @@ def build_episodes(train_scenes, memory, synonyms, cfg):
                               f"smaller than K={cfg.k}, using the full pool")
             ids, pool_sims = pool.indices, pool.similarities
         for _ in range(cfg.episodes_per_query):
-            if cfg.k > 0:
-                n_pick = min(cfg.k, len(pool))
-                picks = sorted(rng.choice(len(pool), size=n_pick, replace=False))
-                refs = tuple(ids[j] for j in picks)
-                sims = tuple(pool_sims[j] for j in picks)
-            else:
-                refs, sims = (), ()
+            # Drawing nothing from an empty pool leaves the generator as it was.
+            picks = sorted(rng.choice(len(ids), size=min(cfg.k, len(ids)),
+                                      replace=False))
             episodes.append(Episode(
                 query_id=scene.scene_id,
-                ref_indices=refs,
-                similarities=sims,
+                ref_indices=tuple(ids[j] for j in picks),
+                similarities=tuple(pool_sims[j] for j in picks),
                 flip=bool(rng.random() < cfg.flip_prob)))
     return episodes
 

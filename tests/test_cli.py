@@ -8,7 +8,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from affkit import store
+from affkit import model, store
 from affkit.cli import main
 from affkit.evaluation import evaluate
 from affkit.memory import load_memory
@@ -695,6 +695,26 @@ def test_overflowing_prediction_exits_3(tmp_path, data_dir, checkpoint,
         assert "error: direction prediction" in result.output
         assert "Traceback" not in result.output
         assert "RuntimeWarning" not in result.output
+
+
+@pytest.mark.parametrize("size", [{"d": 20000}, {"n_layers": 10 ** 9}])
+def test_header_only_checkpoint_builds_no_model(tmp_path, data_dir, size,
+                                                monkeypatch):
+    # Building either config's model would take gigabytes or ages, so the
+    # loader must find the records missing before it builds anything.
+    def refuse(*args, **kwargs):
+        raise AssertionError("init_model called")
+    monkeypatch.setattr(model, "init_model", refuse)
+    ck = tmp_path / "header.ckpt"
+    save_checkpoint({}, ModelConfig(**size), str(ck))
+    for args in (["eval", "--data", str(data_dir)],
+                 ["predict", "--scene", str(data_dir / "test.jsonl"),
+                  "--memory", str(data_dir / "memory.jsonl")]):
+        result = RUNNER.invoke(main, args + ["--checkpoint", str(ck)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "checkpoint lacks ['enc.w']" in result.output
+        assert "Traceback" not in result.output
 
 
 def test_predict_k0_still_runs(data_dir, checkpoint):

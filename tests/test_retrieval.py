@@ -126,8 +126,13 @@ def test_tie_breaks_on_lower_index():
 
 def test_dimension_mismatch():
     m = _memory([("open", [1.0, 0.0])])
-    with pytest.raises(SchemaError):
-        cosine_topk([1.0, 0.0, 0.0], m, [0], k=1)
+    # Checked before the candidates: none, all excluded, or a 0-d query.
+    for query, subset, exclude in (([1.0, 0.0, 0.0], [0], None),
+                                   ([1.0, 0.0, 0.0], [], None),
+                                   ([1.0, 0.0, 0.0], [0], "s0"),
+                                   (1.0, [0], None)):
+        with pytest.raises(SchemaError):
+            cosine_topk(query, m, subset, k=1, exclude=exclude)
 
 
 def test_k_below_one_rejected():
@@ -165,19 +170,23 @@ def noisy_split():
     None, TaskSynonymTable(groups=[["open", "close"]])])
 def test_retrieve_equals_filter_then_topk(noisy_split, k, synonyms):
     train, test, memory = noisy_split
-    # Train scenes are in the memory, so excluding them changes the result.
+    train_ids = {scene.scene_id for scene in train}
     for scene in train + test:
-        for exclude in (None, scene.scene_id):
-            got = retrieve(memory, scene, k, synonyms, exclude=exclude)
-            if k == 0:
-                assert len(got) == 0
-                continue
-            subset = filter_by_task(memory, scene.task, synonyms)
-            want = cosine_topk(scene.embedding, memory, subset, k,
-                               exclude=exclude)
-            assert got.indices == want.indices
-            assert (np.asarray(got.similarities).tobytes()
-                    == np.asarray(want.similarities).tobytes())
+        if k == 0:
+            with pytest.raises(ContractError):
+                retrieve(memory, scene, k, synonyms)
+            continue
+        got = retrieve(memory, scene, k, synonyms)
+        subset = filter_by_task(memory, scene.task, synonyms)
+        want = cosine_topk(scene.embedding, memory, subset, k,
+                           exclude=scene.scene_id)
+        assert got.indices == want.indices
+        assert (np.asarray(got.similarities).tobytes()
+                == np.asarray(want.similarities).tobytes())
+        # Train scenes are in the memory; none is among its own results.
+        own = np.flatnonzero(memory.source_ids == scene.scene_id).tolist()
+        assert len(own) == (scene.scene_id in train_ids)
+        assert len(got) == k and not set(own) & set(got.indices)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -186,7 +195,7 @@ def test_memory_references_gather_retrieved_entries(noisy_split, k):
     of a (K,) or (B, K) array, K = 0 included, as float64 arrays."""
     train, test, memory = noisy_split
     h, w, c = memory.image_shape
-    rows = [retrieve(memory, scene, k).indices for scene in test]
+    rows = [retrieve(memory, scene, k).indices if k else [] for scene in test]
     rows = [r for r in rows if len(r) == k]
     assert rows
     for index_array in [*rows, rows]:

@@ -68,10 +68,16 @@ def test_five_episodes_per_query(tiny_data):
 
 def test_k0_episodes_carry_no_references(tiny_data):
     train_scenes, _, memory = tiny_data
-    cfg = TrainConfig(k=0, seed=0)
+    cfg = TrainConfig(k=0, seed=3, flip_prob=0.4)
     episodes = build_episodes(train_scenes, memory, None, cfg)
     assert all(ep.ref_indices == () and ep.similarities == ()
                for ep in episodes)
+    # Sampling from the empty pool draws nothing, so the i-th flip is the
+    # i-th draw of the seed's generator.
+    rng = np.random.default_rng(cfg.seed)
+    assert len(episodes) == len(train_scenes) * cfg.episodes_per_query
+    assert [ep.flip for ep in episodes] == [
+        bool(rng.random() < cfg.flip_prob) for _ in episodes]
 
 
 def test_episodes_deterministic(tiny_data):
