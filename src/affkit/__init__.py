@@ -9,8 +9,7 @@ from .retrieval import RetrievalResult, TaskSynonymTable, cosine_topk, \
 from .correspondence import transfer_contact
 from .training import Episode, TrainConfig, build_episodes, train
 from .evaluation import EvalReport, evaluate, mae
-from .lifting import Affordance3D, Intrinsics, backproject, lift_affordance, \
-    lift_contact, lift_direction
+from .lifting import Affordance3D, Intrinsics, backproject, lift_affordance
 from .synthgen import BenchmarkVariant, Scene, generate_scene, generate_split
 
 __version__ = "0.1.0"
@@ -21,8 +20,7 @@ __all__ = [
     "RetrievalResult", "Scene", "TaskSynonymTable", "TrainConfig",
     "backproject", "build_episodes", "build_memory", "cosine_topk",
     "evaluate", "filter_by_task", "generate_scene", "generate_split",
-    "init_model", "lift_affordance", "lift_contact",
-    "lift_direction", "load_checkpoint", "load_memory", "mae",
+    "init_model", "lift_affordance", "load_checkpoint", "load_memory", "mae",
     "predict_direction", "reduce_trajectory", "retrieve", "save_checkpoint",
     "save_memory", "train", "transfer_contact",
 ]

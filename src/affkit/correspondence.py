@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import ContractError, NoCorrespondenceError
-from .kernels import cosine_rows
+from .kernels import cosine_rows, row_norms
 
 
 def best_match_index(features, ref_feature):
@@ -14,7 +14,7 @@ def best_match_index(features, ref_feature):
     ref = np.ascontiguousarray(ref_feature, dtype=np.float64)
     if np.linalg.norm(ref) == 0.0:
         raise NoCorrespondenceError("reference contact feature has zero norm")
-    sims = cosine_rows(flat, ref)
+    sims = cosine_rows(flat, ref, row_norms(flat))
     if not np.isfinite(sims).any():
         raise NoCorrespondenceError("every query pixel has zero-norm features")
     return int(np.argmax(sims))  # first max == smallest row-major index
@@ -22,6 +22,8 @@ def best_match_index(features, ref_feature):
 
 def reference_contact_feature(ref_map, contact):
     """Border-clipped 3x3 mean feature around the contact pixel (x, y)."""
+    if not (abs(contact[0]) < np.inf and abs(contact[1]) < np.inf):
+        raise ContractError(f"contact must be finite, got {tuple(contact)}")
     h, w = ref_map.shape[:2]
     x, y = int(round(contact[0])), int(round(contact[1]))
     if not (0 <= x < w and 0 <= y < h):

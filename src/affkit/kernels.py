@@ -1,4 +1,5 @@
-"""Numpy kernels: the in-place attention softmax and GELU, and row cosines.
+"""Numpy kernels: the in-place attention softmax and GELU, row norms and
+row cosines.
 
 The attention softmax and GELU passes dominate training time once the
 matmuls hit BLAS, so each runs in place or keeps the work its backward
@@ -63,9 +64,28 @@ def gelu_grad(g, x, erf1):
     return out
 
 
-def cosine_rows(rows, q):
-    """Cosine of each row of `rows` with `q`; -inf where either norm is 0."""
-    norms = np.linalg.norm(rows, axis=1)
+def row_norms(rows):
+    """Euclidean norm of each row of a 2-D float64 array, bitwise equal to
+    `np.linalg.norm(rows, axis=1)` at every width.
+
+    Below 8 columns numpy adds a row's squares in column order, one
+    reduction call per row; adding whole squared columns in that order
+    gives the same bits without the per-row calls. From 8 columns numpy
+    sums pairwise, so that width goes to numpy itself.
+    """
+    if rows.shape[1] >= 8:
+        return np.linalg.norm(rows, axis=1)
+    out = np.zeros(rows.shape[0])
+    square = np.empty_like(out)
+    for col in rows.T:
+        np.multiply(col, col, out=square)
+        out += square
+    return np.sqrt(out, out=out)
+
+
+def cosine_rows(rows, q, norms):
+    """Cosine of each row of `rows` with `q`, given the row norms `norms`
+    (see `row_norms`); -inf where either norm is 0."""
     qn = np.linalg.norm(q)
     sims = np.full(rows.shape[0], -np.inf)
     if qn > 0:  # divide in place where the norm is nonzero: no 0/0, no copy

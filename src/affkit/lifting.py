@@ -62,19 +62,20 @@ def _candidates(contact, depth_map, radius):
     return xs + x0, ys + y0, win[ys, xs]
 
 
-def lift_contact(contact, depth_map, intr, radius=RADIUS):
-    """Backproject the nearest valid surface pixel around the 2D contact.
+def _surface_point(contact, window, intr, radius):
+    """Backproject the valid window pixel (`_candidates` output) nearest the
+    2D contact.
 
     Nearest by pixel-space distance to the (real-valued) contact; ties by
-    smaller depth, then row-major index.
+    smaller depth, then row-major index: the window's own order, which the
+    stable `np.lexsort` keeps.
     """
-    xs, ys, zs = _candidates(contact, depth_map, radius)
+    xs, ys, zs = window
     if not xs.size:
         raise GeometryError(
             f"no valid depth within radius {radius} of {tuple(contact)}")
-    w = depth_map.shape[1]
     dx, dy = xs - contact[0], ys - contact[1]
-    best = np.lexsort((ys * w + xs, zs, dx * dx + dy * dy))[0]
+    best = np.lexsort((zs, dx * dx + dy * dy))[0]
     return backproject((int(xs[best]), int(ys[best])), float(zs[best]), intr)
 
 
@@ -97,23 +98,23 @@ def _ray_plane(pixel, intr, normal, offset):
     return (offset / denom) * ray
 
 
-def lift_direction(direction2d, contact3d, contact2d, depth_map, intr,
-                   radius=RADIUS):
+def _surface_direction(direction2d, contact3d, contact2d, window, intr):
     """Lift a unit 2D direction onto the local surface plane.
 
-    Fits a plane to the backprojected valid neighborhood of the contact
-    (fronto-parallel fallback below 3 points), intersects the camera rays
-    of the contact and of contact + STEP * direction with it, and returns
-    the normalized difference.
+    Fits a plane to the backprojected valid window (`_candidates` output)
+    around the contact (fronto-parallel fallback below 3 points), intersects
+    the camera rays of the contact and of contact + STEP * direction with
+    it, and returns the normalized difference.
     """
     a = np.asarray(direction2d, dtype=np.float64)
     if not np.isfinite(a).all():
         raise ContractError(f"action direction must be finite, got {a}")
-    if np.linalg.norm(a) < 1e-12:
+    norm_a = np.linalg.norm(a)
+    if norm_a < 1e-12:
         raise ContractError("zero action direction")
-    a = a / np.linalg.norm(a)
+    a = a / norm_a
 
-    xs, ys, zs = _candidates(contact2d, depth_map, radius)
+    xs, ys, zs = window
     if xs.size >= 3:
         cloud = np.stack(backproject((xs, ys), zs, intr), axis=1)
         normal, offset = _fit_plane(cloud)
@@ -131,8 +132,10 @@ def lift_direction(direction2d, contact3d, contact2d, depth_map, intr,
 
 
 def lift_affordance(affordance2d, depth_map, intr):
-    """Full 2D -> 3D lift; the hand-off point to any execution stack."""
-    c3d = lift_contact(affordance2d.contact, depth_map, intr)
-    tau = lift_direction(affordance2d.direction, c3d, affordance2d.contact,
-                         depth_map, intr)
-    return Affordance3D(contact=c3d, direction=tau)
+    """Full 2D -> 3D lift; the hand-off point to any execution stack. The
+    contact's depth window is sliced and scanned once, for both steps."""
+    contact = affordance2d.contact
+    window = _candidates(contact, depth_map, RADIUS)
+    c3d = _surface_point(contact, window, intr, RADIUS)
+    return Affordance3D(contact=c3d, direction=_surface_direction(
+        affordance2d.direction, c3d, contact, window, intr))

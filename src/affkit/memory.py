@@ -12,6 +12,7 @@ import numpy as np
 
 from . import store
 from .errors import ContractError, EmptyMemoryError, ParseError, SchemaError
+from .kernels import row_norms
 
 FORMAT_NAME = "affkit-memory"
 IMAGE_ENCODING = "base64/float64-le"
@@ -51,15 +52,17 @@ class MemoryEntry:
 
 @dataclass
 class Memory:
-    """Entries plus the retrieval index, built once here: `embeddings` (N, d_emb),
-    `by_task` (normalised task -> ascending np.intp indices), `source_ids`,
-    and `image_shape`, which every entry's image has ((0, 0, 0) if none)."""
+    """Entries plus the retrieval index, built once here: `embeddings` (N, d_emb)
+    and their row `norms` (N,), `by_task` (normalised task -> read-only
+    ascending np.intp indices), `rows_of` (source id, None included -> list
+    of rows), and `image_shape`, which every entry's image has ((0, 0, 0)
+    if none)."""
 
     entries: list = field(default_factory=list)
     d_emb: int = 0
 
     def __post_init__(self):
-        by_task = {}
+        by_task, self.rows_of = {}, {}
         self.image_shape = (np.shape(self.entries[0].image) if self.entries
                             else (0, 0, 0))
         for i, e in enumerate(self.entries):
@@ -71,13 +74,15 @@ class Memory:
                                   f" != {self.image_shape} of entry 0")
             e.task = normalize_task(e.task)
             by_task.setdefault(e.task, []).append(i)
+            self.rows_of.setdefault(e.source_id, []).append(i)
         self.embeddings = np.array(
             [e.embedding for e in self.entries],
             dtype=np.float64).reshape(len(self), self.d_emb)
+        self.norms = row_norms(self.embeddings)
         self.by_task = {t: np.array(ix, dtype=np.intp)
                         for t, ix in by_task.items()}
-        self.source_ids = np.array([e.source_id for e in self.entries],
-                                   dtype=object)
+        for ix in self.by_task.values():  # filter_by_task hands them out
+            ix.flags.writeable = False
 
     def __len__(self):
         return len(self.entries)

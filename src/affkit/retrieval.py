@@ -61,12 +61,18 @@ class RetrievalResult:
         return [s for _, _, s in self.entries]
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_ROWS.flags.writeable = False
+
+
 def filter_by_task(memory, task, synonyms=None):
-    """Ascending np.intp indices of the entries in the synonym group of `task`."""
-    synonyms = synonyms or TaskSynonymTable()
-    none = np.empty(0, dtype=np.intp)
-    return np.sort(np.concatenate([memory.by_task.get(t, none)
-                                   for t in synonyms.group_of(task)]))
+    """Ascending np.intp indices of the entries in the synonym group of `task`;
+    for a one-label group, the memory's own read-only index array."""
+    group = (synonyms or TaskSynonymTable()).group_of(task)
+    if len(group) == 1:
+        return memory.by_task.get(next(iter(group)), _NO_ROWS)
+    return np.sort(np.concatenate([memory.by_task.get(t, _NO_ROWS)
+                                   for t in group]))
 
 
 def cosine_topk(query_embedding, memory, subset, k, exclude=None):
@@ -82,12 +88,14 @@ def cosine_topk(query_embedding, memory, subset, k, exclude=None):
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     candidates = np.asarray(subset, dtype=np.intp)
-    if exclude is not None:
-        candidates = candidates[memory.source_ids[candidates] != exclude]
+    if exclude is not None and exclude in memory.rows_of:
+        candidates = candidates[~np.isin(candidates, memory.rows_of[exclude])]
     if not candidates.size:
         return RetrievalResult(entries=[])
 
-    sims = cosine_rows(memory.embeddings[candidates], q)
+    # Candidate order is kept: BLAS rounds a row by its place in the matrix.
+    sims = cosine_rows(memory.embeddings[candidates], q,
+                       memory.norms[candidates])
     # Order by (similarity desc, memory index asc); drop unreachable entries.
     order = np.lexsort((candidates, -sims))
     order = order[np.isfinite(sims[order])][:k]

@@ -1,9 +1,11 @@
 """Helpers that only the tests use: the pinhole projection that inverts
-`lifting.backproject`, the per-pixel loop lifting that the array lifting
-must match bit for bit, the reader of `training.save_history` files, the
-field-by-field comparison of two scenes, and the softmax and transpose
-tape ops and the finite-difference gradient checker that the gradient
-tests and the composed-attention reference build on."""
+`lifting.backproject`, the two halves of `lifting.lift_affordance` at any
+radius (`lift_contact`, `lift_direction`), the per-pixel loop lifting that
+the array lifting must match bit for bit, the reader of
+`training.save_history` files, the field-by-field comparison of two
+scenes, and the softmax and transpose tape ops and the finite-difference
+gradient checker that the gradient tests and the composed-attention
+reference build on."""
 
 import dataclasses
 
@@ -12,8 +14,9 @@ import numpy as np
 from affkit import kernels
 from affkit.autodiff import _as_tensor, _make, backward, zero_grads
 from affkit.errors import ContractError, GeometryError, NumericError
-from affkit.lifting import (STEP, Affordance3D, _fit_plane, _ray_plane,
-                            backproject)
+from affkit.lifting import (RADIUS, STEP, Affordance3D, _candidates,
+                            _fit_plane, _ray_plane, _surface_direction,
+                            _surface_point, backproject)
 
 
 def project(point, intr):
@@ -22,6 +25,19 @@ def project(point, intr):
     if z <= 0:
         raise ContractError("point behind the camera")
     return (intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy)
+
+
+def lift_contact(contact, depth_map, intr, radius=RADIUS):
+    """Backproject the nearest valid surface pixel around the 2D contact."""
+    return _surface_point(contact, _candidates(contact, depth_map, radius),
+                          intr, radius)
+
+
+def lift_direction(direction2d, contact3d, contact2d, depth_map, intr,
+                   radius=RADIUS):
+    """Lift a unit 2D direction onto the plane fitted around the contact."""
+    return _surface_direction(direction2d, contact3d, contact2d,
+                              _candidates(contact2d, depth_map, radius), intr)
 
 
 def loop_candidates(contact, depth_map, radius):

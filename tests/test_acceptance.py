@@ -12,14 +12,14 @@ import pytest
 
 from affkit.correspondence import transfer_contact
 from affkit.evaluation import evaluate, mae
-from affkit.lifting import Intrinsics, backproject, lift_contact, lift_direction
+from affkit.lifting import Intrinsics, backproject
 from affkit.memory import save_memory
 from affkit.model import (ModelConfig, direction_loss, dual_weights,
                           forward_direction, init_model, load_checkpoint,
                           save_checkpoint)
 from affkit.synthgen import TASKS, generate_scene, generate_split, get_variant
 from affkit.training import TrainConfig, build_episodes, train
-from support import finite_diff_check, project
+from support import finite_diff_check, lift_contact, lift_direction, project
 
 NOISELESS = get_variant("noiseless")
 

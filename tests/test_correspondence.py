@@ -10,7 +10,7 @@ from affkit import synthgen
 from affkit.correspondence import (best_match_index, reference_contact_feature,
                                    transfer_contact)
 from affkit.errors import ContractError, NoCorrespondenceError
-from affkit.kernels import cosine_rows
+from affkit.kernels import cosine_rows, row_norms
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +40,14 @@ def test_single_pixel_map():
 def test_out_of_bounds_contact():
     with pytest.raises(ContractError):
         reference_contact_feature(np.zeros((3, 3, 1)), (5, 0))
+
+
+@pytest.mark.parametrize("contact", [(np.nan, 1.0), (1.0, np.nan),
+                                     (np.inf, 1.0), (1.0, -np.inf)])
+def test_nonfinite_reference_contact_rejected(contact):
+    img = np.ones((4, 4, 2))
+    with pytest.raises(ContractError, match="finite"):
+        transfer_contact(img, contact, img)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +157,10 @@ def test_cosine_rows_zero_norms_and_old_formula(seed):
     rows = rng.normal(size=(48 * 48, 6)) * rng.uniform(1e-3, 1e3)
     rows[rng.choice(len(rows), size=40, replace=False)] = 0.0
     q = rng.normal(size=6)
-    sims = cosine_rows(rows, q)
+    sims = cosine_rows(rows, q, row_norms(rows))
     zero = ~rows.any(axis=1)
     assert np.isneginf(sims[zero]).all() and np.isfinite(sims[~zero]).all()
-    assert np.isneginf(cosine_rows(rows, np.zeros(6))).all()
+    assert np.isneginf(cosine_rows(rows, np.zeros(6), row_norms(rows))).all()
     # The formula contact transfer computed before it shared this kernel.
     norms = np.sqrt((rows * rows).sum(axis=1))
     old = np.full(len(rows), -np.inf)
@@ -187,8 +195,8 @@ def test_cosine_rows_bitwise_equals_masked_copy_without_warnings():
     for rows, q in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sims = cosine_rows(rows, q)
-            zero_q = cosine_rows(rows, np.zeros_like(q))
+            sims = cosine_rows(rows, q, row_norms(rows))
+            zero_q = cosine_rows(rows, np.zeros_like(q), row_norms(rows))
         assert sims.tobytes() == _masked_cosine(rows, q).tobytes()
         assert np.isneginf(sims[~rows.any(axis=1)]).all()
         assert np.isneginf(zero_q).all()
@@ -204,7 +212,20 @@ def test_cosine_rows_wide_rows_with_zero_rows_match_masked_copy_closely():
         rows = rng.normal(size=(900, d))
         rows[rng.random(900) < 0.3] = 0.0
         q = rng.normal(size=d)
-        sims = cosine_rows(rows, q)
+        sims = cosine_rows(rows, q, row_norms(rows))
         assert np.isneginf(sims[~rows.any(axis=1)]).all()
         np.testing.assert_allclose(sims, _masked_cosine(rows, q), rtol=0,
                                    atol=1e-15)
+
+
+def test_row_norms_bitwise_equals_numpy_norm():
+    # Below 8 columns row_norms adds whole squared columns in numpy's
+    # per-row order; from 8 it calls numpy. Both must give numpy's bits.
+    rng = np.random.default_rng(9)
+    for d in range(65):
+        for n in (2304, 300, 1, 0):
+            rows = rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3, size=d)
+            rows[rng.random(n) < 0.2] = 0.0
+            got = row_norms(rows)
+            assert got.shape == (n,) and got.dtype == np.float64
+            assert got.tobytes() == np.linalg.norm(rows, axis=1).tobytes(), d

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from affkit.errors import ContractError, GeometryError
 from affkit.lifting import (RADIUS, Affordance3D, Intrinsics, _ray_plane,
-                            backproject, lift_affordance, lift_contact,
-                            lift_direction)
+                            backproject, lift_affordance)
 from affkit.memory import Affordance2D
-from support import loop_lift, project
+from support import lift_contact, lift_direction, loop_lift, project
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0)
 
@@ -266,6 +265,13 @@ def test_lift_affordance_end_to_end():
     assert isinstance(out, Affordance3D)
     np.testing.assert_allclose(out.contact, (0.1, 0.0, 1.0), atol=1e-12)
     np.testing.assert_allclose(out.direction, (0.0, 1.0, 0.0), atol=1e-9)
+    # Bitwise the lift_contact + lift_direction composition.
+    for depth in (depth, _tilted_depth(0.3, INTR), _tilted_depth(-0.2, INTR)):
+        for contact in ((60.0, 50.0), (40.5, 55.25), (0.0, 100.0)):
+            aff = Affordance2D(contact=contact, direction=(0.6, -0.8))
+            assert _outcome(lambda: lift_affordance(aff, depth, INTR)) == \
+                _outcome(lambda: _lift(contact, aff.direction, depth, INTR,
+                                       RADIUS))
 
 
 def _outcome(fn):
@@ -317,12 +323,12 @@ def test_array_lifting_bitwise_equals_pixel_loop():
             for radius in range(7):
                 want = _outcome(lambda: loop_lift(contact, direction, depth,
                                                   intr, radius))
-                assert _outcome(lambda: _lift(contact, direction, depth, intr,
-                                              radius)) == want, \
-                    (scene, contact, radius)
-                if radius == RADIUS:
+                composed = _outcome(lambda: _lift(contact, direction, depth,
+                                                  intr, radius))
+                assert composed == want, (scene, contact, radius)
+                if radius == RADIUS:  # one window pass == the two halves
                     assert _outcome(lambda: lift_affordance(
-                        aff, depth, intr)) == want, (scene, contact)
+                        aff, depth, intr)) == composed, (scene, contact)
                 outcomes.append(want if isinstance(want, type) else "lifted")
     # Both outcomes occur often: lifts, and windows with no valid depth.
     assert outcomes.count("lifted") > 600

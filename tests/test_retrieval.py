@@ -55,6 +55,12 @@ def test_group_not_a_list_of_labels_rejected(groups):
 def test_filter_verbatim():
     m = _memory([("open", [1, 0]), ("close", [0, 1]), ("open", [1, 1])])
     assert filter_by_task(m, "open").tolist() == [0, 2]
+    # A one-label group gets the memory's own index array, read-only.
+    for task in ("open", "juggle"):
+        with pytest.raises(ValueError, match="read-only"):
+            filter_by_task(m, task)[:] = 1
+    assert filter_by_task(m, "open").tolist() == [0, 2]
+    assert m.by_task["open"].tolist() == [0, 2]
 
 
 def test_filter_synonym_union():
@@ -105,6 +111,18 @@ def test_exclusion_never_returned():
     m = _memory([("open", [1.0, 0.0], "a"), ("open", [1.0, 0.0], "b")])
     res = cosine_topk([1.0, 0.0], m, [0, 1], k=5, exclude="a")
     assert res.indices == [1]
+    # Repeated and None source ids: every row of the id goes, and
+    # exclude=None excludes nothing, None-id rows included.
+    ids = ["a", None, "a", "b", None, "c", "a"]
+    m = _memory([("open", [1.0, 0.1 * i], sid) for i, sid in enumerate(ids)])
+    assert m.rows_of == {"a": [0, 2, 6], None: [1, 4], "b": [3], "c": [5]}
+    source_ids = np.array(ids, dtype=object)
+    for subset in ([6, 0, 3, 1, 5], list(range(7)), []):
+        for exclude in ("a", "b", "z", None):
+            want = [i for i in subset
+                    if exclude is None or source_ids[i] != exclude]
+            got = cosine_topk([1.0, 0.0], m, subset, k=10, exclude=exclude)
+            assert sorted(got.indices) == sorted(want), (subset, exclude)
 
 
 def test_zero_norm_embedding_never_retrieved():
@@ -184,7 +202,7 @@ def test_retrieve_equals_filter_then_topk(noisy_split, k, synonyms):
         assert (np.asarray(got.similarities).tobytes()
                 == np.asarray(want.similarities).tobytes())
         # Train scenes are in the memory; none is among its own results.
-        own = np.flatnonzero(memory.source_ids == scene.scene_id).tolist()
+        own = memory.rows_of.get(scene.scene_id, [])
         assert len(own) == (scene.scene_id in train_ids)
         assert len(got) == k and not set(own) & set(got.indices)
 
@@ -249,7 +267,8 @@ def _sorted_reference(q, memory, subset, k, exclude=None):
     if not candidates:
         return [], []
     embs = np.stack([memory.entries[i].embedding for i in candidates])
-    sims = cosine_rows(embs, np.asarray(q, dtype=np.float64))
+    sims = cosine_rows(embs, np.asarray(q, dtype=np.float64),
+                       np.linalg.norm(embs, axis=1))
     order = sorted(range(len(candidates)), key=lambda j: (-sims[j], candidates[j]))
     picked = [(candidates[j], float(sims[j]))
               for j in order if np.isfinite(sims[j])][:k]
@@ -258,12 +277,14 @@ def _sorted_reference(q, memory, subset, k, exclude=None):
 
 def test_cosine_topk_matches_sorted_reference(noisy_split):
     train, test, memory = noisy_split
-    # Duplicate embeddings (ties break on index) and zero-norm entries.
-    extra = [replace(e, source_id=f"dup-{i}")
+    # Duplicate embeddings (ties break on index) and zero-norm entries;
+    # repeated source ids (a train scene's id on a second row) and None ids.
+    extra = [replace(e, source_id=f"dup-{i}" if i % 2 else e.source_id)
              for i, e in enumerate(memory.entries[::3])]
     extra += [replace(e, embedding=np.zeros(memory.d_emb),
                       source_id=f"zero-{i}")
               for i, e in enumerate(memory.entries[1::5])]
+    extra += [replace(e, source_id=None) for e in memory.entries[2::7]]
     memory = Memory(entries=memory.entries + extra, d_emb=memory.d_emb)
     n = len(memory)
     rng = np.random.default_rng(0)
@@ -274,6 +295,9 @@ def test_cosine_topk_matches_sorted_reference(noisy_split):
         subsets = [filter_by_task(memory, task), list(range(n)),
                    rng.permutation(n).tolist()]
         for subset in subsets:
+            # The stored norms are those of the gathered rows, bit for bit.
+            assert (memory.norms[subset].tobytes() == np.linalg.norm(
+                memory.embeddings[subset], axis=1).tobytes())
             for k in (1, 3, n + 5):
                 for exclude in (None, sid):
                     got = cosine_topk(q, memory, subset, k, exclude=exclude)
