@@ -196,7 +196,7 @@ def train_cmd(config_path, out_checkpoint, out_history, seed, k, lr,
 
 def _parse_k_sweep(spec, n_checkpoints):
     """The Ks of the range `spec`, one per checkpoint, counted first."""
-    lo, _, hi = spec.replace("..", ":").partition(":")
+    lo, _, hi = spec.partition("..")
     try:
         lo, hi = int(lo), int(hi)
     except ValueError:

@@ -78,8 +78,8 @@ def evaluate(params, cfg, test_scenes, memory, k, synonyms=None,
     ablation(weighting)
     if not test_scenes:
         raise ContractError("no test scenes to evaluate")
-    memory_ids = {e.source_id for e in memory.entries if e.source_id}
-    leaked = memory_ids & {s.scene_id for s in test_scenes}
+    leaked = {s.scene_id for s in test_scenes
+              if s.scene_id and s.scene_id in memory.rows_of}
     if leaked:
         raise LeakageError(f"test scenes present in memory: {sorted(leaked)[:5]}")
 

@@ -74,25 +74,16 @@ def param_specs(cfg):
     """(name, shape, init) of each parameter, in the order `init_model`
     draws them. init is "w" (normal, std 1/sqrt(shape[0]), the fan-in),
     "small" (normal, std 0.02), "zeros" or "ones"."""
-    d, dff = cfg.d, cfg.d_ff
+    d = cfg.d
     yield "enc.w", (cfg.patch_dim, d), "w"
     yield "enc.b", (d,), "zeros"
     yield "enc.pos", (cfg.n_patches, d), "small"
-    yield "film.w1", (2, cfg.film_hidden), "w"
-    yield "film.b1", (cfg.film_hidden,), "zeros"
     # Zero-init so modulation starts at identity (gamma=1, beta=0).
-    yield "film.w2", (cfg.film_hidden, 2 * d), "zeros"
-    yield "film.b2", (2 * d,), "zeros"
+    yield from _mlp_specs("film.", 2, cfg.film_hidden, 2 * d, w2="zeros")
     yield "eref", (cfg.k_max, d), "small"
-    yield "gate.w1", (2 * d, cfg.gate_hidden), "w"
-    yield "gate.b1", (cfg.gate_hidden,), "zeros"
-    yield "gate.w2", (cfg.gate_hidden, 1), "w"
-    yield "gate.b2", (1,), "zeros"
+    yield from _mlp_specs("gate.", 2 * d, cfg.gate_hidden, 1)
     yield "cls", (1, 1, d), "small"
-    yield "head.w1", (d, d), "w"
-    yield "head.b1", (d,), "zeros"
-    yield "head.w2", (d, 2), "w"
-    yield "head.b2", (2,), "zeros"
+    yield from _mlp_specs("head.", d, d, 2)
     yield "final_ln.g", (d,), "ones"
     yield "final_ln.b", (d,), "zeros"
     for name in ("xattn.wq", "xattn.wk", "xattn.wv", "xattn.wo"):
@@ -107,10 +98,15 @@ def param_specs(cfg):
         yield p + "bo", (d,), "zeros"
         yield p + "ln2.g", (d,), "ones"
         yield p + "ln2.b", (d,), "zeros"
-        yield p + "ff.w1", (d, dff), "w"
-        yield p + "ff.b1", (dff,), "zeros"
-        yield p + "ff.w2", (dff, d), "w"
-        yield p + "ff.b2", (d,), "zeros"
+        yield from _mlp_specs(p + "ff.", d, cfg.d_ff, d)
+
+
+def _mlp_specs(prefix, d_in, hidden, d_out, w2="w"):
+    """Specs of `_mlp`'s parameters; `w2` is the output weight's init."""
+    yield prefix + "w1", (d_in, hidden), "w"
+    yield prefix + "b1", (hidden,), "zeros"
+    yield prefix + "w2", (hidden, d_out), w2
+    yield prefix + "b2", (d_out,), "zeros"
 
 
 def init_model(cfg, seed=0):
@@ -153,11 +149,17 @@ def encode_patches(params, cfg, images):
     return ad.add(tokens, params["enc.pos"])
 
 
+def _mlp(params, prefix, x):
+    """Two-layer GELU MLP over the last axis, weights under `prefix`."""
+    hidden = ad.gelu(ad.add(ad.matmul(x, params[prefix + "w1"]),
+                            params[prefix + "b1"]))
+    return ad.add(ad.matmul(hidden, params[prefix + "w2"]),
+                  params[prefix + "b2"])
+
+
 def film_params(params, directions):
     """Map unit action vectors (..., 2) to FiLM (gamma, beta), each (..., d)."""
-    hidden = ad.gelu(ad.add(ad.matmul(directions, params["film.w1"]),
-                            params["film.b1"]))
-    out = ad.add(ad.matmul(hidden, params["film.w2"]), params["film.b2"])
+    out = _mlp(params, "film.", directions)
     d = out.shape[-1] // 2
     gamma = ad.add(ad.narrow(out, out.data.ndim - 1, 0, d), 1.0)
     beta = ad.narrow(out, out.data.ndim - 1, d, d)
@@ -190,9 +192,7 @@ def global_pool(feats):
 
 def gate(params, z_q, z_r):
     """Sigmoid 2-layer MLP on [z_q; z_r] (query first) -> (...,) in (0, 1)."""
-    x = ad.concat([z_q, z_r], axis=z_q.data.ndim - 1)
-    hidden = ad.gelu(ad.add(ad.matmul(x, params["gate.w1"]), params["gate.b1"]))
-    out = ad.add(ad.matmul(hidden, params["gate.w2"]), params["gate.b2"])
+    out = _mlp(params, "gate.", ad.concat([z_q, z_r], axis=z_q.data.ndim - 1))
     return ad.reshape(ad.sigmoid(out), out.shape[:-1])
 
 
@@ -232,15 +232,17 @@ def dual_weights(sims, gates, rule="full"):
     return ad.div(numer, denom)
 
 
-def _multi_head_attention(q_in, kv_in, cfg, wq, wk, wv, wo, bo, logit_bias=None):
-    """Standard multi-head attention; optional additive (b, m) per-key bias."""
+def _multi_head_attention(params, prefix, cfg, q_in, kv_in, logit_bias=None):
+    """Multi-head attention with weights `wq`, `wk`, `wv`, `wo`, `bo` under
+    `prefix`; optional additive (b, m) per-key bias."""
     # 1/sqrt(dh) is folded into Q so the scale touches (b, n, d) rather
     # than the much larger (b, h, n, m) logit array.
-    q = ad.scale(ad.matmul(q_in, wq), 1.0 / np.sqrt(cfg.d // cfg.n_heads))
-    k = ad.matmul(kv_in, wk)
-    v = ad.matmul(kv_in, wv)
+    q = ad.scale(ad.matmul(q_in, params[prefix + "wq"]),
+                 1.0 / np.sqrt(cfg.d // cfg.n_heads))
+    k = ad.matmul(kv_in, params[prefix + "wk"])
+    v = ad.matmul(kv_in, params[prefix + "wv"])
     out = ad.attention(q, k, v, cfg.n_heads, bias=logit_bias)
-    return ad.add(ad.matmul(out, wo), bo)
+    return ad.add(ad.matmul(out, params[prefix + "wo"]), params[prefix + "bo"])
 
 
 def gated_cross_attention(params, cfg, f_q, ref_tokens, w_final):
@@ -255,11 +257,8 @@ def gated_cross_attention(params, cfg, f_q, ref_tokens, w_final):
     bias = ad.log(ad.add(w_final, 1e-12))
     bias = ad.mul(ad.reshape(bias, (b, k, 1)), Tensor(np.ones((1, 1, n))))
     bias = ad.reshape(bias, (b, k * n))
-    fused = _multi_head_attention(
-        f_q, f_mem, cfg, params["xattn.wq"], params["xattn.wk"],
-        params["xattn.wv"], params["xattn.wo"], params["xattn.bo"],
-        logit_bias=bias)
-    return ad.add(f_q, fused)
+    return ad.add(f_q, _multi_head_attention(params, "xattn.", cfg, f_q,
+                                             f_mem, logit_bias=bias))
 
 
 def _encoder_block(params, prefix, cfg, x, rows=None):
@@ -270,16 +269,9 @@ def _encoder_block(params, prefix, cfg, x, rows=None):
     q_in = normed
     if rows is not None:
         q_in, x = ad.narrow(normed, 1, 0, rows), ad.narrow(x, 1, 0, rows)
-    attn = _multi_head_attention(
-        q_in, normed, cfg, params[prefix + "wq"], params[prefix + "wk"],
-        params[prefix + "wv"], params[prefix + "wo"], params[prefix + "bo"])
-    x = ad.add(x, attn)
+    x = ad.add(x, _multi_head_attention(params, prefix, cfg, q_in, normed))
     normed = ad.layer_norm(x, params[prefix + "ln2.g"], params[prefix + "ln2.b"])
-    hidden = ad.gelu(ad.add(ad.matmul(normed, params[prefix + "ff.w1"]),
-                            params[prefix + "ff.b1"]))
-    ff = ad.add(ad.matmul(hidden, params[prefix + "ff.w2"]),
-                params[prefix + "ff.b2"])
-    return ad.add(x, ff)
+    return ad.add(x, _mlp(params, prefix + "ff.", normed))
 
 
 def forward_direction(params, cfg, query_images, ref_images, ref_dirs, sims,
@@ -322,10 +314,7 @@ def forward_direction(params, cfg, query_images, ref_images, ref_dirs, sims,
         x = _encoder_block(params, f"layer{i}.", cfg, x,
                            rows=TAPE_FREE_ROWS if last else None)
     x = ad.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
-    cls_out = ad.reshape(ad.narrow(x, 1, 0, 1), (b, cfg.d))
-    hidden = ad.gelu(ad.add(ad.matmul(cls_out, params["head.w1"]),
-                            params["head.b1"]))
-    return ad.add(ad.matmul(hidden, params["head.w2"]), params["head.b2"])
+    return _mlp(params, "head.", ad.reshape(ad.narrow(x, 1, 0, 1), (b, cfg.d)))
 
 
 def detach(params):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, TrainingAbort
+from .errors import ConfigError, NumericError, TrainingAbort
 from .model import ablation, forward_direction, direction_loss
 from .retrieval import retrieve
 from .synthgen import hflip_image
@@ -149,12 +149,16 @@ def _batches(episodes, batch_size, rng):
     return [batches[i] for i in order]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(params, model_cfg, train_cfg, episodes, train_scenes, memory,
           progress=None):
     """Optimize in place; returns the per-epoch mean loss history.
 
     Stops at max_epochs, or once the epoch loss has failed to improve the
     running best by improvement_eps for `patience` consecutive epochs.
+    A diverging run ends in a TrainingAbort naming its epoch, raised by the
+    loss check, a kernel's NaN check or the parameter check after each
+    epoch, so numpy need not warn on the way.
     """
     if not episodes:
         raise ConfigError("no episodes to train on")
@@ -168,11 +172,13 @@ def train(params, model_cfg, train_cfg, episodes, train_scenes, memory,
     for epoch in range(train_cfg.max_epochs):
         total, count = 0.0, 0
         for batch in _batches(episodes, train_cfg.batch_size, rng):
-            arrays = _assemble_batch(batch, scenes_by_id, memory, train_cfg)
-            queries, ref_imgs, ref_dirs, sims, targets = arrays
-            pred = forward_direction(params, model_cfg, queries, ref_imgs,
-                                     ref_dirs, sims,
-                                     weighting=train_cfg.weighting)
+            *inputs, targets = _assemble_batch(batch, scenes_by_id, memory,
+                                               train_cfg)
+            try:
+                pred = forward_direction(params, model_cfg, *inputs,
+                                         weighting=train_cfg.weighting)
+            except NumericError as exc:
+                raise TrainingAbort(f"epoch {epoch + 1}: {exc}") from exc
             loss = direction_loss(pred, targets)
             value = float(loss.data)
             if not np.isfinite(value):
@@ -186,6 +192,8 @@ def train(params, model_cfg, train_cfg, episodes, train_scenes, memory,
             del pred, loss
             total += value * len(batch)
             count += len(batch)
+        if not all(np.isfinite(p.data).all() for p in params.values()):
+            raise TrainingAbort(f"non-finite parameters in epoch {epoch + 1}")
         epoch_loss = total / count
         history.append(epoch_loss)
         if progress is not None:

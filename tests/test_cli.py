@@ -416,6 +416,34 @@ def test_train_flag_overrides_win(tmp_path, data_dir):
     assert "epoch 2" not in result.output
 
 
+@pytest.mark.parametrize("train", [
+    {"max_epochs": 3, "lr": 1.0e+30},
+    # One step per run: nothing reads the diverged parameters but the save.
+    {"max_epochs": 1, "lr": 1.0e+30, "batch_size": 64}])
+def test_train_diverging_run_exits_3_naming_the_epoch(tmp_path, train):
+    # The suite turns numpy RuntimeWarnings into errors, so an overflow
+    # that warned on the way would end the run with exit 1 instead.
+    data = tmp_path / "d"
+    result = RUNNER.invoke(main, ["gen", "--variant", "noisy", "--n-train",
+                                  "6", "--n-test", "2", "--size", "16",
+                                  "--out", str(data)])
+    assert result.exit_code == 0, result.output
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "data": str(data),
+        "model": {"d": 16, "n_layers": 1, "n_heads": 2, "d_ff": 16},
+        "train": train}))
+    result = RUNNER.invoke(main, ["train", "--config", str(cfg),
+                                  "--out-checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--quiet"])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1 and "epoch 1" in errors[0], result.output
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -516,7 +544,7 @@ def test_eval_k_sweep_checkpoint_count_mismatch(data_dir, checkpoint, spec):
 @pytest.mark.parametrize("args", [
     ["--synonyms", "notjson"], ["--synonyms", "[[1]]"], ["--k-sweep", "abc"],
     ["--k", "-1"], ["--synonyms", '["open", "shut"]'],
-    ["--k-sweep", "3..1"], ["--k-sweep", "-1..2"]])
+    ["--k-sweep", "3..1"], ["--k-sweep", "-1..2"], ["--k-sweep", "0:4"]])
 def test_eval_malformed_option_exits_2(data_dir, checkpoint, args):
     result = RUNNER.invoke(main, ["eval", "--data", str(data_dir),
                                   "--checkpoint", str(checkpoint)] + args)

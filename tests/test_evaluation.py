@@ -1,5 +1,7 @@
 """MAE metric, evaluation harness, ablation rules, K-sweep plumbing."""
 
+import dataclasses
+import itertools
 import json
 import math
 
@@ -144,6 +146,17 @@ def test_leakage_detected(small_split):
     params = init_model(TINY, seed=0)
     with pytest.raises(LeakageError):
         evaluate(params, TINY, train_scenes[:2], memory, k=1)
+
+
+def test_falsy_ids_never_leak(small_split):
+    """An empty id names no scene, even where memory and test share it."""
+    _, test_scenes, memory = small_split
+    entries = [dataclasses.replace(e, source_id=sid) for e, sid in zip(
+        memory.entries, itertools.cycle(["", None]))]
+    scenes = [dataclasses.replace(test_scenes[0], scene_id="")]
+    report = evaluate(init_model(TINY, seed=0), TINY, scenes,
+                      Memory(entries, memory.d_emb), k=1)
+    assert [r.query_id for r in report.records] == [""]
 
 
 def test_negative_k_rejected(small_split):

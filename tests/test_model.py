@@ -1,5 +1,7 @@
 """Alignment model: encoder, FiLM, gating, dual weights, attention, head."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,8 @@ from affkit.model import (ModelConfig, add_ref_id, direction_loss,
                           dual_weights, encode_patches, film_modulate,
                           film_params, forward_direction, gate,
                           gated_cross_attention, global_pool, init_model,
-                          load_checkpoint, predict_direction, save_checkpoint)
+                          load_checkpoint, param_specs, predict_direction,
+                          save_checkpoint)
 from support import finite_diff_check, softmax, transpose
 
 TINY = ModelConfig(d=8, patch_size=4, image_h=8, image_w=8, channels=4,
@@ -57,6 +60,21 @@ def test_param_count_is_function_of_config():
     a = init_model(TINY, seed=0)
     b = init_model(TINY, seed=99)
     assert {k: v.shape for k, v in a.items()} == {k: v.shape for k, v in b.items()}
+
+
+@pytest.mark.parametrize("cfg,count,digest", [
+    (ModelConfig(), 102,
+     "49935ee25396054f2323eb763e13e1c8c750b845778e28f4050b106d2c93b1c1"),
+    (ModelConfig(d=8, n_layers=1, n_heads=2, d_ff=16), 37,
+     "4b1f7ed4e7ac7ea597d2eafe53cb914bcd6716a1d3b3dd81d4f32951ab46fcf2")],
+    ids=["default", "small"])
+def test_param_specs_layout_pinned(cfg, count, digest):
+    """`init_model` draws in `param_specs` order, so a reordered, renamed,
+    reshaped or re-initialised entry changes every trained model; the
+    sha256 of the (name, shape, init) list's repr pins it."""
+    specs = list(param_specs(cfg))
+    assert len(specs) == count
+    assert hashlib.sha256(repr(specs).encode()).hexdigest() == digest, specs
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +393,11 @@ def test_k0_leaves_query_untouched(tiny):
         forward_direction(ablated, cfg, img, *no_refs).data, base)
 
 
-def _composed_attention(q_in, kv_in, cfg, wq, wk, wv, wo, bo, logit_bias=None):
+def _composed_attention(params, prefix, cfg, q_in, kv_in, logit_bias=None):
     """Multi-head attention built from separate reshape, transpose, matmul
     and softmax tape ops."""
+    wq, wk, wv, wo, bo = (params[prefix + name]
+                          for name in ("wq", "wk", "wv", "wo", "bo"))
     b, n_q, d = q_in.shape
     m = kv_in.shape[-2]
     h, dh = cfg.n_heads, cfg.d // cfg.n_heads
